@@ -22,7 +22,7 @@ from . import data as datasets
 from .ablation import LADDER, run_ladder
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ModelConfig, TrainConfig
-from .errors import CapsnetError
+from .errors import CapsnetError, ConfigError
 from .gradcheck import standard_checks
 from .model import CapsuleClassifier, parameter_count
 from .routing import fm_interaction, fm_interaction_reference, l2_normalize, route
@@ -107,14 +107,27 @@ TOY_OVERRIDES = dict(stem_widths=(8, 16, 16, 32), stage_depths=(1, 1, 1))
 
 def _model_config(args, input_shape, num_classes) -> ModelConfig:
     overrides: dict = {}
-    if args.model_config is not None:
-        overrides.update(json.loads(args.model_config.read_text()))
+    source = args.model_config
+    if source is not None:
+        try:
+            loaded = json.loads(source.read_text())
+        except (OSError, ValueError) as e:  # unreadable, not UTF-8, or not JSON
+            raise ConfigError(f"cannot read --model-config {source}: {e}") from e
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"--model-config {source} must hold a JSON object, "
+                              f"got {type(loaded).__name__}")
+        overrides.update(loaded)
     if args.toy:
         for key, value in TOY_OVERRIDES.items():
             overrides.setdefault(key, value)
     overrides["input_shape"] = tuple(int(v) for v in input_shape)
     overrides["num_classes"] = int(num_classes)
-    return ModelConfig.from_dict(overrides)
+    try:
+        return ModelConfig.from_dict(overrides)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as e:  # a field of the wrong type, e.g. a bare int
+        raise ConfigError(f"invalid --model-config {source}: {e}") from e
 
 
 def cmd_train(args) -> int:

@@ -235,6 +235,16 @@ def standard_checks(h: float = DEFAULT_STEP, tol: float = DEFAULT_TOL,
             return cross_entropy_loss(probs, targets)
         return loss, {"probs": probs}
 
+    def conv2d_1x1_case(rng):
+        x = _t(rng, 2, 5, 5, 3)
+        w = _t(rng, 1, 1, 3, 4, scale=0.5)
+        proj = np.random.default_rng([seed, 110]).standard_normal((2, 3, 3, 4))
+
+        def loss():
+            out = ops.conv2d(x, w, stride=2, padding="same")
+            return ops.reduce_sum(ops.multiply(out, Tensor(proj)))
+        return loss, {"x": x, "w": w}
+
     check("conv2d", conv2d_case)
     check("batch_norm", batch_norm_case)
     check("matmul", matmul_case)
@@ -245,6 +255,8 @@ def standard_checks(h: float = DEFAULT_STEP, tol: float = DEFAULT_TOL,
     check("se_block", se_block_case)
     check("attention_capsules", attention_case)
     check("cross_entropy_loss", cross_entropy_case)
+    # Appended after the older rungs, so each of them keeps its rng stream.
+    check("conv2d_1x1", conv2d_1x1_case)
 
     if include_model:
         results.append(model_check(h=h, tol=tol, seed=seed,

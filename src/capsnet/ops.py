@@ -144,9 +144,8 @@ def maximum(x, threshold: float) -> Tensor:
     """Elementwise max against a constant; gradient is 0 on the clamped side."""
     x = as_tensor(x)
     t = x.dtype.type(threshold)
-    y = np.maximum(x.data, t)
-    mask = (x.data > t).astype(x.dtype)
-    return _make(y, [(x, lambda g, m=mask: g * m)])
+    # The mask is built in backward, so a forward without a tape skips it.
+    return _make(np.maximum(x.data, t), [(x, lambda g, xd=x.data: g * (xd > t))])
 
 
 def relu(x) -> Tensor:
@@ -288,6 +287,16 @@ def _conv_geometry(h: int, w: int, kh: int, kw: int, stride: int, padding: str):
     return ho, wo, top, pad_h - top, left, pad_w - left
 
 
+def _pad_hw(x: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.ndarray:
+    """Zero-pad the spatial axes of an [N,H,W,C] array; no copy without padding."""
+    if not (top or bottom or left or right):
+        return x
+    n, h, w, c = x.shape
+    xp = np.zeros((n, h + top + bottom, w + left + right, c), dtype=x.dtype)
+    xp[:, top:top + h, left:left + w, :] = x
+    return xp
+
+
 def conv2d(x, w, stride: int = 1, padding: str = "same") -> Tensor:
     """2D cross-correlation of an [N,H,W,C] batch with a [kh,kw,C,F] kernel."""
     x, w = as_tensor(x), as_tensor(w)
@@ -302,8 +311,10 @@ def conv2d(x, w, stride: int = 1, padding: str = "same") -> Tensor:
     if c != c_in:
         raise ShapeError(f"input has {c} channels but kernel expects {c_in}")
     ho, wo, pt, pb, pl, pr = _conv_geometry(h, wd, kh, kw, stride, padding)
+    if kh == kw == 1:
+        return _conv2d_1x1(x, w, stride)
 
-    xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    xp = _pad_hw(x.data, pt, pb, pl, pr)
     windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
     windows = windows[:, :ho, :wo]
     cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
@@ -326,6 +337,34 @@ def conv2d(x, w, stride: int = 1, padding: str = "same") -> Tensor:
     def vjp_w(g):
         gmat = g.reshape(n * ho * wo, c_out)
         return (cols.T @ gmat).reshape(kh, kw, c_in, c_out)
+
+    return _make(data, [(x, vjp_x), (w, vjp_w)])
+
+
+def _conv2d_1x1(x: Tensor, w: Tensor, stride: int) -> Tensor:
+    """A 1x1 convolution is one matmul over the pixels it samples.
+
+    Its padding is always zero, under "same" and "valid" alike, so there is
+    nothing to pad, no window to gather and no col2im in backward.
+    """
+    n, h, wd, c = x.shape
+    c_out = w.shape[3]
+    xs = x.data if stride == 1 else x.data[:, ::stride, ::stride]
+    ho, wo = xs.shape[1:3]
+    cols = xs.reshape(n * ho * wo, c)  # a copy only when strided
+    wmat = w.data.reshape(c, c_out)
+    data = (cols @ wmat).reshape(n, ho, wo, c_out)
+
+    def vjp_x(g):
+        gx = (g.reshape(n * ho * wo, c_out) @ wmat.T).reshape(n, ho, wo, c)
+        if stride == 1:
+            return gx
+        full = np.zeros((n, h, wd, c), dtype=gx.dtype)
+        full[:, ::stride, ::stride, :] = gx
+        return full
+
+    def vjp_w(g):
+        return (cols.T @ g.reshape(n * ho * wo, c_out)).reshape(1, 1, c, c_out)
 
     return _make(data, [(x, vjp_x), (w, vjp_w)])
 
@@ -360,9 +399,6 @@ class RunningStats:
         self.mean = m * self.mean + (1.0 - m) * batch_mean.astype(self.mean.dtype)
         self.var = m * self.var + (1.0 - m) * batch_var.astype(self.var.dtype)
 
-    def state(self) -> dict:
-        return {"mean": self.mean, "var": self.var}
-
     def load(self, state: dict) -> None:
         self.mean = np.asarray(state["mean"], dtype=self.mean.dtype)
         self.var = np.asarray(state["var"], dtype=self.var.dtype)
@@ -373,8 +409,11 @@ def batch_norm(x, gamma, beta, stats: RunningStats, training: bool,
     """Normalize the trailing channel axis of [N,...,C] activations.
 
     Training mode normalizes with batch statistics (differentiated through,
-    so gradient checks see the exact Jacobian) and folds them into ``stats``;
-    eval mode treats the running statistics as constants.
+    so gradient checks see the exact Jacobian) and folds them into ``stats``.
+    Eval mode treats the running statistics as constants and folds them with
+    ``gamma`` and ``beta`` into one per-channel affine map ``x * scale + shift``
+    (Ioffe & Szegedy, 2015); the fold is made of [C]-sized ops, so gradients
+    still reach ``x``, ``gamma`` and ``beta`` under a tape.
     """
     x = as_tensor(x)
     gamma, beta = as_tensor(gamma), as_tensor(beta)
@@ -384,18 +423,19 @@ def batch_norm(x, gamma, beta, stats: RunningStats, training: bool,
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(
             f"batch_norm scale/shift must both be [{c}], got {gamma.shape} and {beta.shape}")
-    reduce_axes = tuple(range(x.ndim - 1))
     if training:
         if x.shape[0] < 2:
             raise BatchSizeError(
                 f"batch_norm in training mode needs at least 2 samples, got {x.shape[0]}")
+        reduce_axes = tuple(range(x.ndim - 1))
         m = reduce_mean(x, axis=reduce_axes)
         centered = subtract(x, reshape(m, (1,) * (x.ndim - 1) + (c,)))
         v = reduce_mean(square(centered), axis=reduce_axes)
         stats.update(m.data, v.data)
         inv = divide(1.0, sqrt(add(v, eps)))
         normed = multiply(centered, reshape(inv, (1,) * (x.ndim - 1) + (c,)))
-    else:
-        inv_const = 1.0 / np.sqrt(stats.var.astype(x.dtype) + x.dtype.type(eps))
-        normed = multiply(subtract(x, stats.mean.astype(x.dtype)), inv_const)
-    return add(multiply(normed, gamma), beta)
+        return add(multiply(normed, gamma), beta)
+    inv = 1.0 / np.sqrt(stats.var.astype(x.dtype) + x.dtype.type(eps))
+    scale = multiply(gamma, inv)
+    shift = subtract(beta, multiply(stats.mean.astype(x.dtype), scale))
+    return add(multiply(x, scale), shift)

@@ -8,7 +8,7 @@ parameter tensors instead of writing through old ones.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ class Tensor:
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
-        if any(extent < 1 for extent in arr.shape):
+        if 0 in arr.shape:
             raise ShapeError(f"tensor extents must all be >= 1, got shape {arr.shape}")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -59,9 +59,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def numpy(self) -> Array:
-        return self.data
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -203,7 +200,3 @@ def as_tensor(value, dtype=None) -> Tensor:
     if isinstance(value, Tensor):
         return value
     return Tensor(value, dtype=dtype)
-
-
-def collect(tensors: Iterable[Tensor]) -> list[Tensor]:
-    return [as_tensor(t) for t in tensors]

@@ -24,7 +24,7 @@ def test_routing_demo_matches_oracle(capsys):
 def test_gradcheck_ops_only(capsys):
     assert main(["gradcheck", "--skip-model"]) == 0
     out = capsys.readouterr().out
-    assert "10/10 gradient checks passed" in out
+    assert "11/11 gradient checks passed" in out
     assert "conv2d" in out and "fm_interaction" in out
 
 
@@ -88,3 +88,22 @@ def test_train_model_config_overrides(tmp_path):
     assert manifest["model_config"]["use_attention"] is False
     assert manifest["model_config"]["routing"] == "original"
     assert not any(t["name"].startswith("attn.") for t in manifest["tensors"])
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("content", [
+    "{not json",               # malformed JSON
+    "[1, 2]",                  # a JSON value that is not an object
+    '{"stem_widths": 5}',      # a field of the wrong type
+    None,                      # a path that cannot be read
+], ids=["malformed", "not_object", "wrong_type", "unreadable"])
+def test_bad_model_config_is_clean_error(tmp_path, capsys, command, content):
+    cfg_path = tmp_path / "model.json"
+    if content is not None:
+        cfg_path.write_text(content)
+    extra = ["--out", str(tmp_path / "run")] if command == "train" else []
+    code = main([command, *FAST_DATA, *FAST_TRAIN, "--quiet",
+                 "--model-config", str(cfg_path), *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "model-config" in err

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from capsnet import GradientTape, Tensor
 from capsnet import ops
 from capsnet.errors import BatchSizeError, ShapeError
+from capsnet.gradcheck import finite_diff_check
 
 
 def grad_of(fn, *tensors):
@@ -341,6 +342,29 @@ class TestConv2d:
             wm_[j] -= h
             assert abs((f(x, wp_) - f(x, wm_)) / (2 * h) - gw[j]) < 1e-6
 
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("hw", [(5, 7), (6, 8)])
+    def test_1x1_matches_loop_reference(self, rng, stride, padding, hw):
+        x = rng.standard_normal((2, hw[0], hw[1], 3))
+        w = rng.standard_normal((1, 1, 3, 4))
+        out = ops.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
+        ref = conv2d_loop_reference(x, w, stride, padding)
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out.data - ref)) <= 1e-12
+
+    def test_1x1_strided_gradient_finite_difference(self, rng):
+        # stride 2 on an odd extent: backward scatters into every other pixel
+        x = Tensor(rng.standard_normal((2, 5, 6, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((1, 1, 3, 4)) * 0.5, requires_grad=True)
+        proj = Tensor(rng.standard_normal((2, 3, 3, 4)))
+        result = finite_diff_check(
+            "conv2d_1x1", lambda: ops.reduce_sum(ops.multiply(
+                ops.conv2d(x, w, stride=2, padding="same"), proj)),
+            {"x": x, "w": w}, tol=1e-6)
+        assert result.coords == x.size + w.size
+        assert result.passed, result.line()
+
 
 class TestPoolAndBatchNorm:
     def test_global_avg_pool(self, rng):
@@ -372,6 +396,34 @@ class TestPoolAndBatchNorm:
         out = ops.batch_norm(Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)),
                              stats, training=False)
         assert np.allclose(out.data, (x - 2.0) / np.sqrt(4.0 + 1e-5))
+
+    @staticmethod
+    def _eval_case(rng):
+        x = rng.standard_normal((3, 4, 5, 6)) * 2.0 + 0.5
+        gamma = rng.uniform(0.5, 2.0, 6)
+        beta = rng.standard_normal(6)
+        stats = ops.RunningStats(6, dtype=np.float64)
+        stats.load({"mean": rng.standard_normal(6), "var": rng.uniform(0.2, 3.0, 6)})
+        return x, gamma, beta, stats
+
+    def test_batch_norm_eval_matches_affine_oracle(self, rng):
+        x, gamma, beta, stats = self._eval_case(rng)
+        out = ops.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), stats, training=False)
+        ref = (x - stats.mean) / np.sqrt(stats.var + 1e-5) * gamma + beta
+        assert np.max(np.abs(out.data - ref)) <= 1e-12
+
+    def test_batch_norm_eval_gradient_finite_difference(self, rng):
+        x, gamma, beta, stats = self._eval_case(rng)
+        tx = Tensor(x, requires_grad=True)
+        tg = Tensor(gamma, requires_grad=True)
+        tb = Tensor(beta, requires_grad=True)
+        proj = Tensor(rng.standard_normal(x.shape))
+        result = finite_diff_check(
+            "batch_norm_eval", lambda: ops.reduce_sum(ops.multiply(
+                ops.batch_norm(tx, tg, tb, stats, training=False), proj)),
+            {"x": tx, "gamma": tg, "beta": tb}, tol=1e-6)
+        assert result.coords == x.size + 12
+        assert result.passed, result.line()
 
     def test_batch_norm_rejects_tiny_training_batch(self):
         stats = ops.RunningStats(3, dtype=np.float64)
