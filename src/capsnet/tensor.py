@@ -27,7 +27,7 @@ class Tensor:
     dtype of ``data`` is preserved by every operation.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -37,7 +37,6 @@ class Tensor:
             raise ShapeError(f"tensor extents must all be >= 1, got shape {arr.shape}")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: Optional[Array] = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -127,12 +126,18 @@ class GradientTape:
         grads = tape.gradient(loss, list_of_param_tensors)
 
     Gradients accumulate additively whenever a tensor feeds several
-    consumers.  Tapes do not nest; forward/backward over one tape is
-    single-threaded.
+    consumers.  ``gradient()`` consumes the tape: it walks the records
+    newest-first and frees each record (with the forward activations its
+    closures hold) and each intermediate gradient as soon as it is used, so
+    a second call raises ``RuntimeError``.  ``len()`` counts the operations
+    recorded, before and after.  Tapes do not nest; forward/backward over
+    one tape is single-threaded.
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor, tuple[Tensor, ...], tuple[Optional[VjpFn], ...]]] = []
+        self._records: list[Optional[tuple[Tensor, tuple[Tensor, ...],
+                                           tuple[Optional[VjpFn], ...]]]] = []
+        self._consumed = False
 
     def __enter__(self) -> "GradientTape":
         global _ACTIVE_TAPE
@@ -157,12 +162,28 @@ class GradientTape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def _walk(self, loss: Tensor) -> dict[int, Array]:
+    def _walk(self, loss: Tensor, keep: set[int]) -> dict[int, Array]:
+        """Reverse-mode sweep; returns gradients keyed by tensor id.
+
+        The gradient of a record's output is popped once its vjps have run,
+        unless its id is in ``keep``.  A fan-in sum is added in place only
+        into a buffer this walk allocated: a vjp may return its cotangent
+        itself (``add``) or a view of it (``reshape``), or forward data.
+        """
         if loss.data.size != 1:
-            raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
+            raise ShapeError(f"gradient() needs a scalar loss, got shape {loss.shape}")
+        if self._consumed:
+            raise RuntimeError("this GradientTape was already used by gradient(); "
+                               "record a new one")
+        self._consumed = True
+        records = self._records
         grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-        for out, inputs, vjps in reversed(self._records):
-            g = grads.get(id(out))
+        owned: set[int] = set()
+        for k in range(len(records) - 1, -1, -1):
+            out, inputs, vjps = records[k]
+            records[k] = None
+            key = id(out)
+            g = grads.get(key) if key in keep else grads.pop(key, None)
             if g is None:
                 continue
             for inp, vjp in zip(inputs, vjps):
@@ -170,29 +191,23 @@ class GradientTape:
                     continue
                 contribution = vjp(g)
                 key = id(inp)
-                if key in grads:
-                    grads[key] = grads[key] + contribution
-                else:
+                prev = grads.get(key)
+                if prev is None:
                     grads[key] = contribution
+                elif (key in owned and prev.shape == contribution.shape
+                      and prev.dtype == contribution.dtype):
+                    prev += contribution
+                else:
+                    grads[key] = prev + contribution
+                    owned.add(key)
         return grads
 
     def gradient(self, loss: Tensor, sources: Sequence[Tensor]) -> list[Array]:
-        """Gradients of ``loss`` w.r.t. each source (zeros if unused)."""
-        grads = self._walk(loss)
-        return [grads.get(id(s), np.zeros_like(s.data)) for s in sources]
+        """Gradients of ``loss`` w.r.t. each source (zeros if unused).
 
-    def backward(self, loss: Tensor) -> None:
-        """Populate ``.grad`` on every requires_grad leaf reachable from loss."""
-        grads = self._walk(loss)
-        seen: set[int] = set()
-        for _, inputs, _ in self._records:
-            for inp in inputs:
-                key = id(inp)
-                if key in seen or not inp.requires_grad:
-                    continue
-                seen.add(key)
-                if key in grads:
-                    inp.grad = grads[key]
+        Consumes the tape; see the class docstring."""
+        grads = self._walk(loss, {id(s) for s in sources})
+        return [grads.get(id(s), np.zeros_like(s.data)) for s in sources]
 
 
 def as_tensor(value, dtype=None) -> Tensor:

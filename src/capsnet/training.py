@@ -88,10 +88,15 @@ def init_train_state(model: CapsuleClassifier, config: TrainConfig,
 
 
 def sgd_step(state: TrainState, grads: dict, lr: float) -> None:
-    """v <- m*v - lr*(g + l2*theta); theta <- theta + v.  In place on state."""
+    """v <- m*v - lr*(g + l2*theta); theta <- theta + v.  In place on state.
+
+    All or nothing: every new parameter and velocity is computed and checked
+    before any is committed, so a divergent step leaves ``state`` untouched.
+    Checking ``theta + v`` covers ``v`` too, as ``theta`` is finite.
+    """
     cfg = state.config
-    for name in state.params:
-        p = state.params[name]
+    staged = []
+    for name, p in state.params.items():
         g = grads[name] + cfg.l2 * p.data
         v = cfg.momentum * state.velocity[name] - lr * g
         new = p.data + v
@@ -99,6 +104,8 @@ def sgd_step(state: TrainState, grads: dict, lr: float) -> None:
             raise TrainingDivergenceError(
                 f"parameter {name!r} became non-finite at epoch {state.epoch} "
                 f"(lr={lr}); lower the learning rate or check the data scaling")
+        staged.append((name, new, v))
+    for name, new, v in staged:
         state.velocity[name] = v
         state.params[name] = Tensor(new, requires_grad=True)
 

@@ -1,13 +1,16 @@
 """Tensor engine and op-level tests: forward values against numpy, reverse
 mode against hand derivatives, and the recording semantics of the tape."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from capsnet import GradientTape, Tensor
+from capsnet import (CapsuleClassifier, GradientTape, ModelConfig, Tensor,
+                     cross_entropy_loss, one_hot)
 from capsnet import ops
 from capsnet.errors import BatchSizeError, ShapeError
 from capsnet.gradcheck import finite_diff_check
@@ -17,6 +20,22 @@ def grad_of(fn, *tensors):
     with GradientTape() as tape:
         out = fn()
     return tape.gradient(out, list(tensors))
+
+
+def keep_everything_walk(tape, loss, sources):
+    """Reference reverse sweep that keeps every record and every gradient
+    alive and sums each fan-in into a fresh array."""
+    grads = {id(loss): np.ones_like(loss.data)}
+    for out, inputs, vjps in reversed(tape._records):
+        g = grads.get(id(out))
+        if g is None:
+            continue
+        for inp, vjp in zip(inputs, vjps):
+            if vjp is not None:
+                c = vjp(g)
+                key = id(inp)
+                grads[key] = grads[key] + c if key in grads else c
+    return [grads.get(id(s), np.zeros_like(s.data)) for s in sources]
 
 
 class TestTensor:
@@ -84,12 +103,75 @@ class TestTape:
         (g,) = tape.gradient(y, [x])
         assert np.allclose(g, [7.0])
 
-    def test_backward_sets_grad_on_leaves(self):
+    def test_gradient_consumes_tape(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with GradientTape() as tape:
-            y = ops.reduce_sum(ops.square(x))
-        tape.backward(y)
-        assert np.allclose(x.grad, [2.0, 4.0])
+            y = ops.reduce_sum(ops.exp(x))
+        # the activation held by exp's output and its vjp closure
+        activation = weakref.ref(tape._records[0][0].data)
+        recorded = len(tape)
+        (g,) = tape.gradient(y, [x])
+        np.testing.assert_allclose(g, np.exp([1.0, 2.0]), rtol=1e-15)
+        assert activation() is None
+        assert len(tape) == recorded == 2
+        with pytest.raises(RuntimeError):
+            tape.gradient(y, [x])
+
+    def test_fan_in_through_aliasing_consumers(self, rng):
+        # x reaches the loss five times: through square, a reshape view,
+        # twice through add(x, x), and through add(x, z), which hands x and
+        # z the same cotangent array; dy/dx = 2x + b^T + 2a + e, dy/dz = e
+        xv = rng.standard_normal((2, 3))
+        a, b, e = (rng.standard_normal(s) for s in ((2, 3), (3, 2), (2, 3)))
+        x = Tensor(xv, requires_grad=True)
+        z = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        with GradientTape() as tape:
+            terms = [ops.square(x), ops.multiply(ops.reshape(x, (3, 2)), b),
+                     ops.multiply(ops.add(x, x), a), ops.multiply(ops.add(x, z), e)]
+            y = ops.reduce_sum(terms[0])
+            for term in terms[1:]:
+                y = ops.add(y, ops.reduce_sum(term))
+        gx, gz = tape.gradient(y, [x, z])
+        np.testing.assert_allclose(gx, 2 * xv + b.reshape(2, 3) + 2 * a + e, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(gz, e, rtol=1e-15, atol=0)
+
+    def test_intermediate_source_consumed_downstream(self, rng):
+        # h is a source and also feeds three consumers; its gradient is a
+        # fan-in sum that x's gradient is built from through a reshape view
+        xv = rng.standard_normal((2, 3))
+        c, d = rng.standard_normal((3, 2)), rng.standard_normal((2, 3))
+        x = Tensor(xv, requires_grad=True)
+        with GradientTape() as tape:
+            h = ops.reshape(x, (3, 2))
+            y = ops.add(ops.add(
+                ops.reduce_sum(ops.multiply(ops.add(h, h), c)),
+                ops.reduce_sum(ops.square(h))),
+                ops.reduce_sum(ops.multiply(x, d)))
+        gh, gx = tape.gradient(y, [h, x])
+        expect_h = 2 * c + 2 * xv.reshape(3, 2)
+        np.testing.assert_allclose(gh, expect_h, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(gx, expect_h.reshape(2, 3) + d, rtol=1e-15, atol=0)
+
+    def test_model_step_matches_keep_everything_walk(self):
+        # the acceptance tests' blob model, float32, one training step
+        model = CapsuleClassifier(ModelConfig(
+            input_shape=(16, 16, 1), num_classes=4,
+            stem_widths=(8, 16, 16, 32), stage_depths=(1, 1, 1)))
+        params, _ = model.init_params(0)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((8, 16, 16, 1)).astype(np.float32)
+        t = one_hot(rng.integers(0, 4, 8), 4, dtype=np.float32)
+        names = list(params)
+        results = []
+        for walk in (keep_everything_walk, GradientTape.gradient):
+            _, stats = model.init_params(0)
+            with GradientTape() as tape:
+                loss = cross_entropy_loss(
+                    model.forward(params, stats, x, training=True).probs, t)
+            results.append(walk(tape, loss, [params[n] for n in names]))
+        for name, ref, got in zip(names, *results):
+            assert got.dtype == ref.dtype == np.float32, name
+            assert got.tobytes() == ref.tobytes(), name
 
     def test_gradient_of_intermediate(self):
         x = Tensor([3.0], requires_grad=True)
@@ -341,6 +423,26 @@ class TestConv2d:
             wp_[j] += h
             wm_[j] -= h
             assert abs((f(x, wp_) - f(x, wm_)) / (2 * h) - gw[j]) < 1e-6
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("hw", [(7, 9), (8, 6)])
+    def test_backward_is_adjoint_of_loop_reference(self, rng, stride, padding, hw):
+        # conv is linear in x and in w, so <conv(x, w), g> = <x, vjp_x(g)>
+        # = <w, vjp_w(g)> for every cotangent g
+        x = rng.standard_normal((2, hw[0], hw[1], 3))
+        w = rng.standard_normal((3, 3, 3, 5))
+        ref = conv2d_loop_reference(x, w, stride, padding)
+        g = rng.standard_normal(ref.shape)
+        tx, tw = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        with GradientTape() as tape:
+            y = ops.reduce_sum(ops.multiply(
+                ops.conv2d(tx, tw, stride=stride, padding=padding), Tensor(g)))
+        gx, gw = tape.gradient(y, [tx, tw])
+        forward = np.sum(ref * g)
+        for arg, grad in ((x, gx), (w, gw)):
+            assert grad.shape == arg.shape
+            assert abs(np.sum(arg * grad) - forward) <= 1e-12 * abs(forward)
 
     @pytest.mark.parametrize("padding", ["same", "valid"])
     @pytest.mark.parametrize("stride", [1, 2, 3])

@@ -95,6 +95,24 @@ class TestSGD:
             sgd_step(state, {"w": np.array([np.nan])}, 0.1)
         assert "'w'" in str(e.value)
 
+    def test_divergence_leaves_state_untouched(self):
+        # a NaN in the last parameter's gradient must not leave the earlier
+        # parameters and velocities updated
+        rng = np.random.default_rng(3)
+        state = tiny_state({k: rng.standard_normal(4) for k in "abc"}, l2=0.01)
+        sgd_step(state, {k: rng.standard_normal(4) for k in "abc"}, 0.1)
+        params = dict(state.params)
+        before = {k: (p.data.copy(), state.velocity[k].copy()) for k, p in params.items()}
+        grads = {k: rng.standard_normal(4) for k in "abc"}
+        grads["c"][2] = np.nan
+        with pytest.raises(TrainingDivergenceError) as e:
+            sgd_step(state, grads, 0.1)
+        assert "'c'" in str(e.value)
+        for k, (p, v) in before.items():
+            assert state.params[k] is params[k]
+            assert state.params[k].data.tobytes() == p.tobytes()
+            assert state.velocity[k].tobytes() == v.tobytes()
+
 
 class TestBatching:
     def test_ordered_when_no_rng(self):
