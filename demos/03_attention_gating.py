@@ -43,12 +43,14 @@ def main():
     ab1 = Tensor(np.zeros(J // r))
     aw2 = Tensor(rng.standard_normal((J // r, J)) * 0.5)
     ab2 = Tensor(np.zeros(J))
-    res = attention_capsules(Tensor(poses), Tensor(agree), aw1, ab1, aw2, ab2)
-    print("  gates            :", np.array2string(res.gates.data, precision=3))
+    # a batch of one instance: poses [1,J,k], agreements [1,J]
+    res = attention_capsules(Tensor(poses[None]), Tensor(agree[None]), aw1, ab1, aw2, ab2)
+    gates, acts, gated = res.gates.data[0], res.activations.data[0], res.poses.data[0]
+    print("  gates            :", np.array2string(gates, precision=3))
     print("  raw agreement    :", np.array2string(agree, precision=3))
-    print("  activations      :", np.array2string(res.activations.data, precision=3))
-    print("  activation sum   :", float(res.activations.data.sum()))
-    shrink = np.linalg.norm(res.poses.data, axis=-1) / np.linalg.norm(poses, axis=-1)
+    print("  activations      :", np.array2string(acts, precision=3))
+    print("  activation sum   :", float(acts.sum()))
+    shrink = np.linalg.norm(gated, axis=-1) / np.linalg.norm(poses, axis=-1)
     print("  pose shrink      :", np.array2string(shrink, precision=3),
           "(equals the gates)")
 

@@ -4,6 +4,8 @@ Instantiates the convolutional trunk directly, pushes an image through it
 stage by stage, and compares parameter counts across block variants.
 """
 
+from itertools import groupby
+
 import numpy as np
 
 from capsnet import CapsuleClassifier, ModelConfig, Tensor
@@ -26,9 +28,11 @@ def main():
     x = Tensor(np.random.default_rng(1).standard_normal((1, 32, 32, 3)).astype(np.float32))
     x = net.stem(params, x)
     print(f"  stem   -> {x.shape}")
-    for i, stage in enumerate(net.stages, start=1):
-        x = stage(params, stats, x, training=False)
-        print(f"  stage{i} -> {x.shape}  ({len(stage.blocks)} blocks)")
+    for stage, blocks in groupby(net.blocks, key=lambda b: b.prefix.split(".")[0]):
+        blocks = list(blocks)
+        for block in blocks:
+            x = block(params, stats, x, training=False)
+        print(f"  {stage} -> {x.shape}  ({len(blocks)} blocks)")
     print(f"  backbone parameters: {parameter_count(params):,}")
 
     print("\n== whole-model parameter budgets ==")

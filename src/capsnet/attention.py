@@ -83,28 +83,24 @@ def se_block_reference(x: np.ndarray, w1: np.ndarray, b1: np.ndarray,
 class AttentionResult:
     """Capsule outputs after class-wise gating."""
 
-    activations: Tensor  # [B,J] (or [J]); softmax of gated agreements
-    poses: Tensor        # gated poses, same shape as input poses
-    gates: Tensor        # [B,J] (or [J]) in (0,1)
+    activations: Tensor  # [B,J]; softmax of gated agreements
+    poses: Tensor        # [B,J,k] gated poses
+    gates: Tensor        # [B,J] in (0,1)
 
 
 def attention_capsules(poses, agreements, w1, b1, w2, b2) -> AttentionResult:
     """Gate class capsules by their own pooled poses.
 
-    ``poses`` is [B,J,k] (a single [J,k] instance is handled too) and
-    ``agreements`` is the matching [B,J].  The pose matrix is mean-pooled
-    over the feature axis, squeezed/excited across classes to a gate in
-    (0,1) per class, and both poses and agreements are rescaled by the
-    gate; activations are the softmax of the gated agreements.
+    ``poses`` is [B,J,k] and ``agreements`` is the matching [B,J].  The
+    pose matrix is mean-pooled over the feature axis, squeezed/excited
+    across classes to a gate in (0,1) per class, and both poses and
+    agreements are rescaled by the gate; activations are the softmax of
+    the gated agreements.
     """
     poses, agreements = as_tensor(poses), as_tensor(agreements)
-    squeeze = poses.ndim == 2
-    if squeeze:
-        poses = ops.reshape(poses, (1,) + poses.shape)
-        agreements = ops.reshape(agreements, (1,) + agreements.shape)
     if poses.ndim != 3:
         raise ShapeError(f"attention_capsules poses must be [B,J,k], got shape {poses.shape}")
-    b_, j, k = poses.shape
+    b_, j, _ = poses.shape
     if agreements.shape != (b_, j):
         raise ShapeError(
             f"agreements shape {agreements.shape} does not match poses {poses.shape}")
@@ -117,23 +113,15 @@ def attention_capsules(poses, agreements, w1, b1, w2, b2) -> AttentionResult:
     gated_poses = ops.multiply(poses, ops.reshape(gate, (b_, j, 1)))
     gated_agree = ops.multiply(gate, agreements)
     activations = ops.softmax(gated_agree, axis=-1)
-    if squeeze:
-        activations = ops.reshape(activations, (j,))
-        gated_poses = ops.reshape(gated_poses, (j, k))
-        gate = ops.reshape(gate, (j,))
     return AttentionResult(activations=activations, poses=gated_poses, gates=gate)
 
 
 def attention_capsules_reference(poses: np.ndarray, agreements: np.ndarray,
                                  w1: np.ndarray, b1: np.ndarray,
                                  w2: np.ndarray, b2: np.ndarray):
-    """Straight-line numpy oracle for :func:`attention_capsules`."""
+    """Straight-line numpy oracle for :func:`attention_capsules` ([B,J,k] poses)."""
     poses = np.asarray(poses, dtype=np.float64)
     agreements = np.asarray(agreements, dtype=np.float64)
-    squeeze = poses.ndim == 2
-    if squeeze:
-        poses = poses[None]
-        agreements = agreements[None]
     pooled = poses.mean(axis=-1)
     hidden = np.maximum(pooled @ np.asarray(w1, np.float64) + np.asarray(b1, np.float64), 0.0)
     gate = expit(hidden @ np.asarray(w2, np.float64) + np.asarray(b2, np.float64))
@@ -141,6 +129,4 @@ def attention_capsules_reference(poses: np.ndarray, agreements: np.ndarray,
     logits = gate * agreements
     shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
     activations = shifted / shifted.sum(axis=-1, keepdims=True)
-    if squeeze:
-        return activations[0], gated_poses[0], gate[0]
     return activations, gated_poses, gate

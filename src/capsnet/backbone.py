@@ -146,35 +146,10 @@ class Bottleneck:
         return ops.relu(ops.add(y, skip))
 
 
-class Stage:
-    """``depth`` bottleneck blocks; only the first may change resolution."""
-
-    def __init__(self, prefix: str, in_channels: int, f: int, depth: int,
-                 first_stride: int, **block_kwargs):
-        if depth < 1:
-            raise ConfigError(f"stage depth must be >= 1, got {depth}")
-        self.prefix = prefix
-        self.blocks: list[Bottleneck] = []
-        cin = in_channels
-        for i in range(depth):
-            block = Bottleneck(f"{prefix}.block{i}", cin, f,
-                               first_stride if i == 0 else 1, **block_kwargs)
-            self.blocks.append(block)
-            cin = block.out_channels
-        self.out_channels = cin
-
-    def init(self, rng, params: dict, stats: dict, dtype) -> None:
-        for block in self.blocks:
-            block.init(rng, params, stats, dtype)
-
-    def __call__(self, params: dict, stats: dict, x, training: bool):
-        for block in self.blocks:
-            x = block(params, stats, x, training)
-        return x
-
-
 class Backbone:
-    """Stem followed by three stages; stages 2 and 3 halve the resolution."""
+    """Stem followed by three stages of bottleneck blocks, kept as one flat
+    list; only the first block of stages 2 and 3 strides, halving the
+    resolution."""
 
     def __init__(self, in_channels: int, stem_widths: tuple[int, ...],
                  stage_widths: tuple[int, int, int], stage_depths: tuple[int, int, int],
@@ -183,24 +158,28 @@ class Backbone:
         if len(stage_widths) != 3 or len(stage_depths) != 3:
             raise ConfigError("backbone expects exactly 3 stages")
         self.stem = Stem("stem", in_channels, stem_widths)
-        kwargs = dict(variant=variant, wide_plan=wide_plan, use_se=use_se, se_ratio=se_ratio)
-        self.stages: list[Stage] = []
+        self.blocks: list[Bottleneck] = []
         cin = self.stem.out_channels
         for s, (f, depth) in enumerate(zip(stage_widths, stage_depths), start=1):
-            stage = Stage(f"stage{s}", cin, f, depth, first_stride=1 if s == 1 else 2, **kwargs)
-            self.stages.append(stage)
-            cin = stage.out_channels
+            if depth < 1:
+                raise ConfigError(f"stage depth must be >= 1, got {depth}")
+            for i in range(depth):
+                stride = 2 if s > 1 and i == 0 else 1
+                block = Bottleneck(f"stage{s}.block{i}", cin, f, stride, variant=variant,
+                                   wide_plan=wide_plan, use_se=use_se, se_ratio=se_ratio)
+                self.blocks.append(block)
+                cin = block.out_channels
         self.out_channels = cin
 
     def init(self, rng, params: dict, stats: dict, dtype) -> None:
         self.stem.init(rng, params, dtype)
-        for stage in self.stages:
-            stage.init(rng, params, stats, dtype)
+        for block in self.blocks:
+            block.init(rng, params, stats, dtype)
 
     def __call__(self, params: dict, stats: dict, x, training: bool):
         x = self.stem(params, x)
-        for stage in self.stages:
-            x = stage(params, stats, x, training)
+        for block in self.blocks:
+            x = block(params, stats, x, training)
         return x
 
 

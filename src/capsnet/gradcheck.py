@@ -102,12 +102,6 @@ def _t(rng, *shape, scale: float = 1.0) -> Tensor:
     return Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
 
 
-def _project(out: Tensor, rng) -> Tensor:
-    """Reduce a tensor to a scalar with a fixed random weighting."""
-    w = Tensor(np.asarray(rng.standard_normal(out.shape)))
-    return ops.reduce_sum(ops.multiply(out, w))
-
-
 def toy_model_config(num_classes: int = 3) -> ModelConfig:
     """Smallest config that still exercises every layer type."""
     return ModelConfig(

@@ -128,15 +128,11 @@ class CapsuleClassifier:
             return ModelOutput(probs=att.activations, activations=att.activations,
                                poses=att.poses, agreements=routed.agreements,
                                gates=att.gates)
-        activations = routed.activations
-        if cfg.routing == "modified":
-            probs = activations
-        else:
-            # exp activations are unnormalized; rescale into a distribution
-            # for the loss without disturbing the raw activations.
-            total = ops.reduce_sum(activations, axis=-1, keepdims=True)
-            probs = ops.divide(activations, total)
-        return ModelOutput(probs=probs, activations=activations,
+        # 'original' activations are the raw exp(b); exp(b)/sum(exp(b)) is
+        # softmax(b), taken shifted so it cannot overflow.
+        probs = (routed.activations if cfg.routing == "modified"
+                 else ops.softmax(routed.agreements, axis=-1))
+        return ModelOutput(probs=probs, activations=routed.activations,
                            poses=routed.poses, agreements=routed.agreements)
 
     def predict(self, params: dict, stats: dict, x) -> np.ndarray:

@@ -167,13 +167,6 @@ def reshape(x, shape: tuple[int, ...]) -> Tensor:
     return _make(data, [(x, lambda g, s=x.data.shape: g.reshape(s))])
 
 
-def transpose(x, axes: tuple[int, ...]) -> Tensor:
-    x = as_tensor(x)
-    data = np.transpose(x.data, axes)
-    inverse = tuple(np.argsort(axes))
-    return _make(data, [(x, lambda g, inv=inverse: np.transpose(g, inv))])
-
-
 def reduce_sum(x, axis: Axis = None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     axes = _normalize_axes(axis, x.ndim)

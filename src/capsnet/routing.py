@@ -106,35 +106,29 @@ def agreement(h) -> Tensor:
 
 
 def capsule_predictions(u, w) -> Tensor:
-    """Per-class linear votes u_hat[j, i] = W[j, i] @ u[i].
+    """Per-class linear votes u_hat[b, j, i] = W[j, i] @ u[b, i].
 
-    ``w`` is [J, n, k_in, k_out]; ``u`` is [n, k_in] or batched [B, n, k_in].
-    Returns [J, n, k_out] or [B, J, n, k_out].
+    ``w`` is [J, n, k_in, k_out] and ``u`` is [B, n, k_in]; returns
+    [B, J, n, k_out].
     """
     u, w = as_tensor(u), as_tensor(w)
     if w.ndim != 4:
         raise ShapeError(f"prediction weights must be [J,n,k_in,k_out], got shape {w.shape}")
-    if u.ndim == 2:
-        if u.shape != w.shape[1:3]:
-            raise ShapeError(
-                f"capsule input {u.shape} does not match weights [n,k_in]={w.shape[1:3]}")
-        return ops.einsum2("jnio,ni->jno", w, u)
-    if u.ndim == 3:
-        if u.shape[1:] != w.shape[1:3]:
-            raise ShapeError(
-                f"capsule input {u.shape} does not match weights [n,k_in]={w.shape[1:3]}")
-        return ops.einsum2("jnio,bni->bjno", w, u)
-    raise ShapeError(f"capsule input must be [n,k_in] or [B,n,k_in], got shape {u.shape}")
+    if u.ndim != 3:
+        raise ShapeError(f"capsule input must be [B,n,k_in], got shape {u.shape}")
+    if u.shape[1:] != w.shape[1:3]:
+        raise ShapeError(
+            f"capsule input {u.shape} does not match weights [n,k_in]={w.shape[1:3]}")
+    return ops.einsum2("jnio,bni->bjno", w, u)
 
 
 @dataclass
 class RoutingResult:
     """Everything the routing layer derives from one prediction bundle."""
 
-    activations: Tensor   # [J] or [B,J]; distribution under 'modified', raw exp under 'original'
-    poses: Tensor         # [J,k] or [B,J,k]; unit or zero rows
-    agreements: Tensor    # [J] or [B,J]
-    interactions: Tensor  # [J,k] or [B,J,k]
+    activations: Tensor  # [J] or [B,J]; distribution under 'modified', raw exp under 'original'
+    poses: Tensor        # [J,k] or [B,J,k]; unit or zero rows
+    agreements: Tensor   # [J] or [B,J]
 
 
 def route(u_hat, variant: str = "modified", eps: float = EPS_NORM) -> RoutingResult:
@@ -162,4 +156,4 @@ def route(u_hat, variant: str = "modified", eps: float = EPS_NORM) -> RoutingRes
         activations = ops.softmax(b, axis=-1)
     else:
         activations = ops.exp(b)
-    return RoutingResult(activations=activations, poses=poses, agreements=b, interactions=h)
+    return RoutingResult(activations=activations, poses=poses, agreements=b)

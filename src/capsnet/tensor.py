@@ -63,51 +63,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
 
-    # Arithmetic sugar; the real work lives in capsnet.ops.
-    def __add__(self, other):
-        from . import ops
-
-        return ops.add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        from . import ops
-
-        return ops.subtract(self, other)
-
-    def __rsub__(self, other):
-        from . import ops
-
-        return ops.subtract(other, self)
-
-    def __mul__(self, other):
-        from . import ops
-
-        return ops.multiply(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        from . import ops
-
-        return ops.divide(self, other)
-
-    def __rtruediv__(self, other):
-        from . import ops
-
-        return ops.divide(other, self)
-
-    def __neg__(self):
-        from . import ops
-
-        return ops.negative(self)
-
-    def __matmul__(self, other):
-        from . import ops
-
-        return ops.matmul(self, other)
-
 
 _ACTIVE_TAPE: Optional["GradientTape"] = None
 

@@ -97,18 +97,6 @@ class TestAttentionCapsules:
         assert np.all(np.linalg.norm(res.poses.data, axis=-1)
                       <= np.linalg.norm(poses, axis=-1))
 
-    def test_single_instance_round_trips_shape(self, rng):
-        poses = rng.standard_normal((4, 5))
-        agree = rng.standard_normal(4)
-        w1, b1, w2, b2 = se_params(rng, 4, 2)
-        res = attention_capsules(Tensor(poses), Tensor(agree), w1, b1, w2, b2)
-        assert res.activations.shape == (4,)
-        assert res.poses.shape == (4, 5)
-        assert res.gates.shape == (4,)
-        batched = attention_capsules(Tensor(poses[None]), Tensor(agree[None]),
-                                     w1, b1, w2, b2)
-        assert np.allclose(res.activations.data, batched.activations.data[0])
-
     def test_errors(self, rng):
         w1, b1, w2, b2 = se_params(rng, 4, 2)
         with pytest.raises(ShapeError):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from capsnet import Tensor
-from capsnet.backbone import (Backbone, Bottleneck, Stage, Stem, block_widths,
-                              parameter_count)
+from capsnet.backbone import Backbone, Bottleneck, Stem, block_widths, parameter_count
 from capsnet.errors import ConfigError
 
 
@@ -110,18 +109,17 @@ class TestBottleneck:
 
 
 class TestStageAndBackbone:
-    def test_stage_strides_only_first_block(self, rng):
-        stage = Stage("s", 16, 32, depth=3, first_stride=2)
-        params, stats = build(stage)
-        out = stage(params, stats, Tensor(rng.standard_normal((2, 8, 8, 16))),
-                    training=True)
-        assert out.shape == (2, 4, 4, 32)
-        assert len(stage.blocks) == 3
-        assert [b.stride for b in stage.blocks] == [2, 1, 1]
+    def test_stage_strides_only_first_block(self):
+        bb = Backbone(3, (8,), (16, 32, 64), (2, 3, 2))
+        assert [b.stride for b in bb.blocks] == [1, 1, 2, 1, 1, 2, 1]
+        assert [b.prefix for b in bb.blocks] == [
+            "stage1.block0", "stage1.block1",
+            "stage2.block0", "stage2.block1", "stage2.block2",
+            "stage3.block0", "stage3.block1"]
 
     def test_stage_depth_validated(self):
         with pytest.raises(ConfigError):
-            Stage("s", 16, 32, depth=0, first_stride=1)
+            Backbone(3, (8,), (16, 32, 64), (1, 0, 1))
 
     def test_backbone_shapes(self, rng):
         bb = Backbone(3, (4, 8, 16, 32), (16, 32, 64), (1, 1, 1))
@@ -147,8 +145,8 @@ class TestStageAndBackbone:
 
     def test_depths_442_structure(self):
         bb = Backbone(3, (16, 32, 64, 128), (64, 128, 256), (4, 8, 4))
-        assert [len(s.blocks) for s in bb.stages] == [4, 8, 4]
-        assert bb.stages[0].blocks[0].widths == (16, 32, 64)
-        assert bb.stages[1].blocks[0].widths == (32, 64, 128)
-        assert bb.stages[2].blocks[0].widths == (64, 128, 256)
+        firsts = [i for i, b in enumerate(bb.blocks) if b.prefix.endswith(".block0")]
+        assert len(bb.blocks) == 16 and firsts == [0, 4, 12]
+        assert [bb.blocks[i].widths for i in firsts] == [
+            (16, 32, 64), (32, 64, 128), (64, 128, 256)]
         assert bb.out_channels == 256

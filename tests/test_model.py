@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from capsnet import CapsuleClassifier, ModelConfig
+from capsnet import CapsuleClassifier, ModelConfig, Tensor
 from capsnet.errors import ConfigError, ShapeError
 
 TOY = dict(input_shape=(16, 16, 1), num_classes=4,
@@ -86,6 +86,26 @@ class TestModel:
         assert np.allclose(out.probs.data.sum(-1), 1.0, atol=1e-6)
         # raw activations stay exp-scaled, not renormalized
         assert not np.allclose(out.activations.data.sum(-1), 1.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_original_routing_probs_finite_past_float32_exp_overflow(self, rng):
+        # 256 one-dim primary capsules, all positive, each voting d_j for
+        # class j: every agreement is (n - 1) / 2 = 127.5, past the 88.7
+        # where float32 exp overflows
+        model, _ = toy_model(routing="original", use_attention=False,
+                             input_shape=(32, 32, 1), stem_widths=(8, 16, 16, 32),
+                             primary_caps_dim=1, primary_caps_channels=16)
+        assert model.num_primary == 256
+        params, stats = model.init_params(0)
+        params["primary.bn.beta"] = Tensor(np.full(16, 5.0, dtype=np.float32))
+        params["primary.bn.gamma"] = Tensor(np.full(16, 1e-3, dtype=np.float32))
+        j, n, _, k = params["caps.w"].shape
+        d = rng.standard_normal((j, 1, 1, k)).astype(np.float32)
+        params["caps.w"] = Tensor(np.broadcast_to(d, (j, n, 1, k)).copy())
+        out = model.forward(params, stats, rng.standard_normal((2, 32, 32, 1)))
+        assert np.allclose(out.agreements.data, 127.5, rtol=1e-4)
+        assert np.all(np.isfinite(out.probs.data))
+        assert np.allclose(out.probs.data.sum(-1), 1.0, atol=1e-6)
 
     def test_input_shape_validated(self, rng):
         model, _ = toy_model()

@@ -108,12 +108,13 @@ class TestPose:
 class TestPredictions:
     def test_matches_explicit_loop(self, rng):
         w = rng.standard_normal((3, 4, 5, 6))
-        u = rng.standard_normal((4, 5))
+        u = rng.standard_normal((2, 4, 5))
         got = capsule_predictions(Tensor(u), Tensor(w)).data
-        want = np.zeros((3, 4, 6))
-        for j in range(3):
-            for i in range(4):
-                want[j, i] = u[i] @ w[j, i]
+        want = np.zeros((2, 3, 4, 6))
+        for b in range(2):
+            for j in range(3):
+                for i in range(4):
+                    want[b, j, i] = u[b, i] @ w[j, i]
         assert np.allclose(got, want)
 
     def test_batched_shape(self, rng):

@@ -56,16 +56,6 @@ class TestTensor:
         with pytest.raises(ShapeError):
             Tensor([1.0, 2.0]).item()
 
-    def test_operator_sugar(self):
-        a = Tensor([2.0, 3.0])
-        b = Tensor([4.0, 5.0])
-        assert np.allclose((a + b).data, [6, 8])
-        assert np.allclose((a - b).data, [-2, -2])
-        assert np.allclose((a * b).data, [8, 15])
-        assert np.allclose((a / b).data, [0.5, 0.6])
-        assert np.allclose((-a).data, [-2, -3])
-        assert np.allclose((1.0 - a).data, [-1, -2])
-
 
 class TestTape:
     def test_no_tape_no_tracking(self):
@@ -272,17 +262,6 @@ class TestReductionsAndShape:
         (g,) = tape.gradient(y, [t])
         assert g.shape == (2, 6)
         assert np.allclose(g, 2 * x)
-
-    def test_transpose(self, rng):
-        x = rng.standard_normal((2, 3, 4))
-        t = Tensor(x, requires_grad=True)
-        out = ops.transpose(t, (2, 0, 1))
-        assert out.shape == (4, 2, 3)
-        proj = rng.standard_normal((4, 2, 3))
-        with GradientTape() as tape:
-            y = ops.reduce_sum(ops.multiply(ops.transpose(t, (2, 0, 1)), Tensor(proj)))
-        (g,) = tape.gradient(y, [t])
-        assert np.allclose(g, proj.transpose(1, 2, 0))
 
     def test_softmax_rows_sum_to_one(self, rng):
         x = rng.standard_normal((5, 9)) * 3

@@ -170,6 +170,26 @@ class TestEpochLoop:
             last = train_epoch(model, state, x, y)["loss"]
         assert last < first
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_divergent_step_leaves_bn_stats_untouched(self):
+        # the forward pass advances the running stats before sgd_step can
+        # raise; a failed step must put every (mean, var) back bit for bit
+        model = CapsuleClassifier(ModelConfig(
+            input_shape=(16, 16, 1), num_classes=4,
+            stem_widths=(8, 16, 16, 32), stage_depths=(1, 1, 1)))
+        state = init_train_state(model, TrainConfig(epochs=1, batch_size=16,
+                                                    base_lr=1e40, seed=0))
+        x, y = make_blobs(16, num_classes=4, image_size=16, seed=0)
+        params = dict(state.params)
+        before = {k: (s.mean.tobytes(), s.var.tobytes()) for k, s in state.stats.items()}
+        assert len(before) == 13
+        with pytest.raises(TrainingDivergenceError):
+            train_epoch(model, state, x, y)
+        assert state.params == params
+        for k, (mean, var) in before.items():
+            assert state.stats[k].mean.tobytes() == mean
+            assert state.stats[k].var.tobytes() == var
+
     def test_evaluate_matches_prediction_accuracy(self):
         x, y = make_blobs(40, num_classes=3, image_size=12, seed=1)
         model, state = toy_setup()
