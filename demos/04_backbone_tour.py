@@ -14,11 +14,9 @@ from capsnet.backbone import Backbone, block_widths, parameter_count
 
 def main():
     print("== bottleneck width plans at f = 64 ==")
-    for variant, plan in (("standard", "quarter_half"),
-                          ("wide", "quarter_half"),
-                          ("wide", "half_double")):
-        w = block_widths(64, variant, plan)
-        print(f"  {variant:8s} {plan:12s} -> reduce {w[0]:3d}, conv {w[1]:3d}, expand {w[2]:3d}")
+    for variant in ("standard", "wide"):
+        w = block_widths(64, variant)
+        print(f"  {variant:8s} -> reduce {w[0]:3d}, conv {w[1]:3d}, expand {w[2]:3d}")
 
     print("\n== stage-by-stage shapes (32x32x3 input) ==")
     net = Backbone(in_channels=3, stem_widths=(16, 32, 64, 128),

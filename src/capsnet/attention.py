@@ -25,7 +25,7 @@ from .tensor import Tensor, as_tensor
 
 
 def default_se_ratio(channels: int) -> int:
-    """Reduction ratio used when a config does not pin one.
+    """SE reduction ratio for a map (or class count) of ``channels``.
 
     Wide maps (128 channels) reduce by 8; otherwise the largest divisor of
     ``channels`` not exceeding 4 keeps the bottleneck at least one unit wide
@@ -37,13 +37,6 @@ def default_se_ratio(channels: int) -> int:
         if channels % ratio == 0:
             return ratio
     return 1
-
-
-def validate_se_ratio(channels: int, ratio: int) -> int:
-    if ratio < 1 or channels % ratio != 0:
-        raise ConfigError(
-            f"SE reduction ratio {ratio} must divide the channel count {channels}")
-    return ratio
 
 
 def se_block(x, w1, b1, w2, b2) -> Tensor:
@@ -61,7 +54,7 @@ def se_block(x, w1, b1, w2, b2) -> Tensor:
     if w1.shape[0] != c or w2.shape[1] != c or w1.shape[1] != w2.shape[0]:
         raise ShapeError(
             f"SE weights {w1.shape} and {w2.shape} do not form a {c}->hidden->{c} bottleneck")
-    pooled = ops.global_avg_pool(x)
+    pooled = ops.reduce_mean(x, axis=(1, 2))
     hidden = ops.relu(ops.dense(pooled, w1, b1))
     gate = ops.sigmoid(ops.dense(hidden, w2, b2))
     n = x.shape[0]

@@ -8,9 +8,8 @@ optimizer can swap parameter tensors without touching the layers.
 
 Block width plans, given a stage width f:
 
-* ``standard``          1x1 f/4 -> 3x3 f/4 -> 1x1 f   (classic bottleneck)
-* ``wide/quarter_half`` 1x1 f/4 -> 3x3 f/2 -> 1x1 f   (widened middle conv)
-* ``wide/half_double``  1x1 f/2 -> 3x3 f/2 -> 1x1 2f  (widened throughout)
+* ``standard``  1x1 f/4 -> 3x3 f/4 -> 1x1 f   (classic bottleneck)
+* ``wide``      1x1 f/4 -> 3x3 f/2 -> 1x1 f   (widened middle conv)
 
 Every block carries a projection skip (1x1 conv + BN) regardless of shape,
 and optionally a squeeze-excite gate on the residual branch before the add.
@@ -18,38 +17,25 @@ and optionally a squeeze-excite gate on the residual branch before the add.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from . import ops
-from .attention import default_se_ratio, se_block, validate_se_ratio
+from .attention import default_se_ratio, se_block
 from .errors import ConfigError
 from .initializers import he_normal
 from .ops import RunningStats
 from .tensor import Tensor
 
 BLOCK_VARIANTS = ("wide", "standard")
-WIDE_PLANS = ("quarter_half", "half_double")
 
 
-def block_widths(f: int, variant: str, wide_plan: str = "quarter_half") -> tuple[int, int, int]:
+def block_widths(f: int, variant: str) -> tuple[int, int, int]:
     """Channel widths (reduce, spatial, output) of one bottleneck block."""
-    if variant == "standard":
-        if f % 4:
-            raise ConfigError(f"standard bottleneck needs a stage width divisible by 4, got {f}")
-        return (f // 4, f // 4, f)
-    if variant == "wide":
-        if wide_plan == "quarter_half":
-            if f % 4:
-                raise ConfigError(f"wide bottleneck needs a stage width divisible by 4, got {f}")
-            return (f // 4, f // 2, f)
-        if wide_plan == "half_double":
-            if f % 2:
-                raise ConfigError(f"wide bottleneck needs an even stage width, got {f}")
-            return (f // 2, f // 2, 2 * f)
-        raise ConfigError(f"wide_plan must be one of {WIDE_PLANS}, got {wide_plan!r}")
-    raise ConfigError(f"block variant must be one of {BLOCK_VARIANTS}, got {variant!r}")
+    if variant not in BLOCK_VARIANTS:
+        raise ConfigError(f"block variant must be one of {BLOCK_VARIANTS}, got {variant!r}")
+    if f % 4:
+        raise ConfigError(f"{variant} bottleneck needs a stage width divisible by 4, got {f}")
+    return (f // 4, f // 2 if variant == "wide" else f // 4, f)
 
 
 def _init_conv(rng, params: dict, name: str, kh: int, kw: int, cin: int, cout: int,
@@ -99,16 +85,13 @@ class Bottleneck:
     """1x1 reduce -> 3x3 (carries the stride) -> 1x1 expand, SE, skip, ReLU."""
 
     def __init__(self, prefix: str, in_channels: int, f: int, stride: int,
-                 variant: str = "wide", wide_plan: str = "quarter_half",
-                 use_se: bool = True, se_ratio: Optional[int] = None):
+                 variant: str = "wide", use_se: bool = True):
         self.prefix = prefix
         self.in_channels = in_channels
         self.stride = stride
-        self.widths = block_widths(f, variant, wide_plan)
+        self.widths = block_widths(f, variant)
         self.out_channels = self.widths[2]
         self.use_se = use_se
-        ratio = se_ratio if se_ratio is not None else default_se_ratio(self.out_channels)
-        self.se_ratio = validate_se_ratio(self.out_channels, ratio) if use_se else None
 
     def init(self, rng, params: dict, stats: dict, dtype) -> None:
         c1, c2, c3 = self.widths
@@ -120,7 +103,7 @@ class Bottleneck:
         _init_conv(rng, params, f"{p}.conv3", 1, 1, c2, c3, dtype)
         _init_bn(params, stats, f"{p}.bn3", c3, dtype)
         if self.use_se:
-            hidden = c3 // self.se_ratio
+            hidden = c3 // default_se_ratio(c3)
             params[f"{p}.se.w1"] = Tensor(
                 he_normal(rng, (c3, hidden), dtype=dtype), requires_grad=True)
             params[f"{p}.se.b1"] = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
@@ -153,8 +136,7 @@ class Backbone:
 
     def __init__(self, in_channels: int, stem_widths: tuple[int, ...],
                  stage_widths: tuple[int, int, int], stage_depths: tuple[int, int, int],
-                 variant: str = "wide", wide_plan: str = "quarter_half",
-                 use_se: bool = True, se_ratio: Optional[int] = None):
+                 variant: str = "wide", use_se: bool = True):
         if len(stage_widths) != 3 or len(stage_depths) != 3:
             raise ConfigError("backbone expects exactly 3 stages")
         self.stem = Stem("stem", in_channels, stem_widths)
@@ -165,8 +147,8 @@ class Backbone:
                 raise ConfigError(f"stage depth must be >= 1, got {depth}")
             for i in range(depth):
                 stride = 2 if s > 1 and i == 0 else 1
-                block = Bottleneck(f"stage{s}.block{i}", cin, f, stride, variant=variant,
-                                   wide_plan=wide_plan, use_se=use_se, se_ratio=se_ratio)
+                block = Bottleneck(f"stage{s}.block{i}", cin, f, stride,
+                                   variant=variant, use_se=use_se)
                 self.blocks.append(block)
                 cin = block.out_channels
         self.out_channels = cin

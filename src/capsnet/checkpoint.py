@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 from typing import Union
 
@@ -41,7 +42,15 @@ def _entries(state: TrainState):
 
 
 def save_checkpoint(path, model_config: ModelConfig, state: TrainState) -> None:
-    """Write ``manifest.json`` and ``params.bin`` into directory ``path``."""
+    """Write ``manifest.json`` and ``params.bin`` into directory ``path``.
+
+    Both files are first written under temporary names in ``path`` and then
+    moved into place with ``os.replace``, blob first, so a save that fails
+    while writing leaves the previous checkpoint as it was.  One window
+    remains: a crash between the two replaces pairs the new blob with the
+    old manifest, which :func:`load_checkpoint` rejects by the blob's
+    SHA-256.
+    """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     chunks: list[bytes] = []
@@ -71,8 +80,15 @@ def save_checkpoint(path, model_config: ModelConfig, state: TrainState) -> None:
         "blob_bytes": len(blob),
         "blob_sha256": hashlib.sha256(blob).hexdigest(),
     }
-    (path / BLOB_NAME).write_bytes(blob)
-    (path / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    tmp_blob, tmp_manifest = path / (BLOB_NAME + ".tmp"), path / (MANIFEST_NAME + ".tmp")
+    try:
+        tmp_blob.write_bytes(blob)
+        tmp_manifest.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        os.replace(tmp_blob, path / BLOB_NAME)
+        os.replace(tmp_manifest, path / MANIFEST_NAME)
+    finally:
+        tmp_blob.unlink(missing_ok=True)
+        tmp_manifest.unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, TrainState]:

@@ -6,38 +6,39 @@ through JSON-friendly dicts (used by checkpoints and the command line).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
-from typing import Optional
+from dataclasses import asdict, dataclass, replace
 
-from .backbone import BLOCK_VARIANTS, WIDE_PLANS
+from .backbone import BLOCK_VARIANTS
 from .errors import ConfigError
 from .routing import ROUTING_VARIANTS
 
 DTYPES = ("float32", "float64")
+
+# Fields that earlier versions of ModelConfig had, with their defaults.  A
+# saved config that holds one at that default still loads; any other value
+# names a model this version cannot build.
+_REMOVED_FIELDS = {"stage_widths": None, "primary_caps_channels": None,
+                   "se_ratio": None, "wide_plan": "quarter_half"}
 
 
 @dataclass
 class ModelConfig:
     """Static architecture description.
 
-    ``stage_widths`` defaults to (s/2, s, 2s) for stem output width s, and
-    ``primary_caps_channels`` defaults to the backbone output width; both
-    may be pinned explicitly.
+    The stage widths are (s/2, s, 2s) for stem output width s, the primary
+    capsule conv keeps the backbone output width, and every SE gate uses
+    ``default_se_ratio`` of its width.
     """
 
     input_shape: tuple[int, int, int] = (32, 32, 3)   # (H, W, C)
     num_classes: int = 10
     stem_widths: tuple[int, ...] = (16, 32, 64, 128)
     stage_depths: tuple[int, int, int] = (4, 8, 4)
-    stage_widths: Optional[tuple[int, int, int]] = None
     block_variant: str = "wide"
-    wide_plan: str = "quarter_half"
     use_se: bool = True
     use_attention: bool = True
     routing: str = "modified"
-    se_ratio: Optional[int] = None
     primary_caps_dim: int = 16
-    primary_caps_channels: Optional[int] = None
     capsule_dim: int = 16
     dtype: str = "float32"
 
@@ -45,8 +46,6 @@ class ModelConfig:
         self.input_shape = tuple(int(v) for v in self.input_shape)
         self.stem_widths = tuple(int(v) for v in self.stem_widths)
         self.stage_depths = tuple(int(v) for v in self.stage_depths)
-        if self.stage_widths is not None:
-            self.stage_widths = tuple(int(v) for v in self.stage_widths)
         if len(self.input_shape) != 3 or any(v < 1 for v in self.input_shape):
             raise ConfigError(f"input_shape must be (H, W, C) of positives, got {self.input_shape}")
         if self.num_classes < 2:
@@ -55,47 +54,32 @@ class ModelConfig:
             raise ConfigError(f"stem_widths must be positive, got {self.stem_widths}")
         if len(self.stage_depths) != 3 or any(d < 1 for d in self.stage_depths):
             raise ConfigError(f"stage_depths must be 3 positives, got {self.stage_depths}")
-        if self.stage_widths is not None and (
-                len(self.stage_widths) != 3 or any(w < 1 for w in self.stage_widths)):
-            raise ConfigError(f"stage_widths must be 3 positives, got {self.stage_widths}")
         if self.block_variant not in BLOCK_VARIANTS:
             raise ConfigError(f"block_variant must be one of {BLOCK_VARIANTS}, "
                               f"got {self.block_variant!r}")
-        if self.wide_plan not in WIDE_PLANS:
-            raise ConfigError(f"wide_plan must be one of {WIDE_PLANS}, got {self.wide_plan!r}")
         if self.routing not in ROUTING_VARIANTS:
             raise ConfigError(f"routing must be one of {ROUTING_VARIANTS}, got {self.routing!r}")
         if self.primary_caps_dim < 1 or self.capsule_dim < 1:
             raise ConfigError("capsule dimensions must be >= 1")
-        if self.primary_caps_channels is not None:
-            if self.primary_caps_channels % self.primary_caps_dim:
-                raise ConfigError(
-                    f"primary_caps_channels {self.primary_caps_channels} must be divisible "
-                    f"by primary_caps_dim {self.primary_caps_dim}")
-        if self.se_ratio is not None and self.se_ratio < 1:
-            raise ConfigError(f"se_ratio must be >= 1, got {self.se_ratio}")
         if self.dtype not in DTYPES:
             raise ConfigError(f"dtype must be one of {DTYPES}, got {self.dtype!r}")
 
     def resolved_stage_widths(self) -> tuple[int, int, int]:
-        if self.stage_widths is not None:
-            return self.stage_widths
         s = self.stem_widths[-1]
         if s % 2:
-            raise ConfigError(
-                f"cannot derive stage widths from odd stem output width {s}; "
-                f"set stage_widths explicitly")
+            raise ConfigError(f"cannot derive stage widths from odd stem output width {s}")
         return (s // 2, s, 2 * s)
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        for key in ("input_shape", "stem_widths", "stage_depths", "stage_widths"):
-            if d[key] is not None:
-                d[key] = list(d[key])
+        for key in ("input_shape", "stem_widths", "stage_depths"):
+            d[key] = list(d[key])
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        d = {k: v for k, v in d.items()
+             if not (k in _REMOVED_FIELDS and v == _REMOVED_FIELDS[k])}
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(d) - known
         if unknown:

@@ -107,8 +107,7 @@ def toy_model_config(num_classes: int = 3) -> ModelConfig:
     return ModelConfig(
         input_shape=(8, 8, 3), num_classes=num_classes,
         stem_widths=(2, 4, 8, 16), stage_depths=(1, 1, 1),
-        block_variant="wide", wide_plan="quarter_half",
-        use_se=True, use_attention=True, routing="modified",
+        block_variant="wide", use_se=True, use_attention=True, routing="modified",
         dtype="float64")
 
 
@@ -261,7 +260,23 @@ def standard_checks(h: float = DEFAULT_STEP, tol: float = DEFAULT_TOL,
 def model_check(h: float = DEFAULT_STEP, tol: float = DEFAULT_TOL, seed: int = 0,
                 coords_per_tensor: int = 3) -> CheckResult:
     """End-to-end loss gradient of the toy model w.r.t. every parameter
-    tensor, a few sampled coordinates each."""
+    tensor, a few sampled coordinates each.
+
+    The ladder runs this at seed 0.  At other seeds it can miss ``tol``
+    (33 of seeds 0-59 do); each miss examined so far has one of two
+    causes, neither a wrong tape gradient:
+
+    * Exact ReLU kinks.  Stem biases start at 0 and some 3x3 windows are
+      all zero after the previous ReLU, so a few pre-activations are exactly
+      0 (4 of 512 in ``stem.conv1`` at seed 6).  A central difference there
+      reads the 1/2 subgradient, the tape's ``x > 0`` mask reads 0: at seed
+      6, ``stem.conv1.b`` has a central difference of 9.11e-4 at every h
+      from 1e-4 to 1e-7, and a tape gradient of -1.65e-3.
+    * Round-off below the 1e-8 floor of the relative error, where the true
+      gradient is tiny: ``primary.bn.beta`` (about 1e-18, through a batch-2
+      batch norm over a 1x1 grid) and ``primary.conv.w`` (about 1e-7).
+      These agree with finite differences once the step suits them.
+    """
     cfg = toy_model_config()
     model = CapsuleClassifier(cfg)
     params, stats = model.init_params(seed)

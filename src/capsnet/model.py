@@ -25,6 +25,8 @@ from .tensor import Tensor
 
 __all__ = ["CapsuleClassifier", "ModelOutput", "parameter_count"]
 
+PRIMARY_STRIDE = 2
+
 
 @dataclass
 class ModelOutput:
@@ -43,20 +45,16 @@ class CapsuleClassifier:
         h, w, c = config.input_shape
         self.backbone = Backbone(
             c, config.stem_widths, config.resolved_stage_widths(), config.stage_depths,
-            variant=config.block_variant, wide_plan=config.wide_plan,
-            use_se=config.use_se, se_ratio=config.se_ratio)
-        self.primary_channels = (config.primary_caps_channels
-                                 if config.primary_caps_channels is not None
-                                 else self.backbone.out_channels)
+            variant=config.block_variant, use_se=config.use_se)
+        self.primary_channels = self.backbone.out_channels
         if self.primary_channels % config.primary_caps_dim:
             raise ConfigError(
                 f"primary capsule channels {self.primary_channels} must be divisible by "
                 f"capsule dimension {config.primary_caps_dim}")
-        # Stem and stage 1 keep resolution; stages 2-3 and the primary conv
-        # each halve it (same padding, so ceil division).
+        # Same padding: each stride s maps a side n to ceil(n / s).
         ph, pw = h, w
-        for _ in range(3):
-            ph, pw = (ph + 1) // 2, (pw + 1) // 2
+        for stride in [block.stride for block in self.backbone.blocks] + [PRIMARY_STRIDE]:
+            ph, pw = -(-ph // stride), -(-pw // stride)
         self.primary_grid = (ph, pw)
         self.num_primary = ph * pw * (self.primary_channels // config.primary_caps_dim)
         if self.num_primary < 2:
@@ -114,7 +112,7 @@ class CapsuleClassifier:
         cfg = self.config
         x = self._as_input(x)
         feats = self.backbone(params, stats, x, training)
-        y = ops.conv2d(x=feats, w=params["primary.conv.w"], stride=2, padding="same")
+        y = ops.conv2d(x=feats, w=params["primary.conv.w"], stride=PRIMARY_STRIDE, padding="same")
         y = _bn(params, stats, "primary.bn", y, training)
         batch = x.shape[0]
         caps = ops.reshape(y, (batch, self.num_primary, cfg.primary_caps_dim))

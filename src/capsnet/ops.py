@@ -258,7 +258,7 @@ def einsum2(pattern: str, a, b) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution and pooling (NHWC layout, [kh, kw, c_in, c_out] kernels)
+# convolution (NHWC layout, [kh, kw, c_in, c_out] kernels)
 
 def _conv_geometry(h: int, w: int, kh: int, kw: int, stride: int, padding: str):
     if padding == "same":
@@ -360,20 +360,6 @@ def _conv2d_1x1(x: Tensor, w: Tensor, stride: int) -> Tensor:
         return (cols.T @ g.reshape(n * ho * wo, c_out)).reshape(1, 1, c, c_out)
 
     return _make(data, [(x, vjp_x), (w, vjp_w)])
-
-
-def global_avg_pool(x) -> Tensor:
-    """Spatial mean of an [N,H,W,C] map, yielding [N,C]."""
-    x = as_tensor(x)
-    if x.ndim != 4:
-        raise ShapeError(f"global_avg_pool input must be [N,H,W,C], got shape {x.shape}")
-    n, h, w, c = x.shape
-    data = x.data.mean(axis=(1, 2))
-
-    def vjp(g):
-        return np.broadcast_to(g[:, None, None, :], (n, h, w, c)) / (h * w)
-
-    return _make(data, [(x, vjp)])
 
 
 # ---------------------------------------------------------------------------

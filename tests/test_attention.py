@@ -5,8 +5,7 @@ import pytest
 
 from capsnet import Tensor
 from capsnet.attention import (attention_capsules, attention_capsules_reference,
-                               default_se_ratio, se_block, se_block_reference,
-                               validate_se_ratio)
+                               default_se_ratio, se_block, se_block_reference)
 from capsnet.errors import ConfigError, ShapeError
 
 
@@ -29,11 +28,6 @@ class TestSERatio:
         r = default_se_ratio(c)
         assert r == expected
         assert c % r == 0
-
-    def test_validate_rejects_non_divisor(self):
-        with pytest.raises(ConfigError):
-            validate_se_ratio(10, 4)
-        assert validate_se_ratio(10, 2) == 2
 
 
 class TestSEBlock:

@@ -21,18 +21,13 @@ def build(layer, seed=0, dtype=np.float64):
 class TestBlockWidths:
     def test_plans(self):
         assert block_widths(256, "standard") == (64, 64, 256)
-        assert block_widths(256, "wide", "quarter_half") == (64, 128, 256)
-        assert block_widths(256, "wide", "half_double") == (128, 128, 512)
+        assert block_widths(256, "wide") == (64, 128, 256)
 
     def test_divisibility_errors(self):
         with pytest.raises(ConfigError):
             block_widths(6, "standard")
         with pytest.raises(ConfigError):
-            block_widths(10, "wide", "quarter_half")
-        with pytest.raises(ConfigError):
-            block_widths(7, "wide", "half_double")
-        with pytest.raises(ConfigError):
-            block_widths(8, "wide", "slim")
+            block_widths(10, "wide")
         with pytest.raises(ConfigError):
             block_widths(8, "bottleneckless")
 
@@ -98,14 +93,6 @@ class TestBottleneck:
             ps, _ = build(std)
             assert parameter_count(pw) != parameter_count(ps)
             assert parameter_count(pw) > parameter_count(ps)
-
-    def test_half_double_widens_output(self, rng):
-        block = Bottleneck("b", 16, 16, 1, wide_plan="half_double")
-        assert block.out_channels == 32
-        params, stats = build(block)
-        out = block(params, stats, Tensor(rng.standard_normal((2, 4, 4, 16))),
-                    training=True)
-        assert out.shape == (2, 4, 4, 32)
 
 
 class TestStageAndBackbone:

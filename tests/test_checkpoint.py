@@ -1,6 +1,7 @@
 """Checkpoint persistence: bit-exact round trips and corruption detection."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from capsnet import (CapsuleClassifier, ModelConfig, TrainConfig, evaluate,
                      init_train_state, load_checkpoint, save_checkpoint,
                      train_epoch)
 from capsnet.data import make_blobs
-from capsnet.errors import CheckpointError
+from capsnet.errors import CheckpointError, ConfigError
 
 TOY = dict(input_shape=(12, 12, 1), num_classes=3,
            stem_widths=(4, 8, 8, 16), stage_depths=(1, 1, 1))
@@ -65,6 +66,58 @@ class TestRoundTrip:
         _, state2 = load_checkpoint(path)
         row = train_epoch(model, state2, x, y)
         assert row["epoch"] == 1
+
+    def test_failed_save_keeps_previous_checkpoint(self, trained, monkeypatch):
+        cfg, model, state, path, (x, y) = trained
+        _, before = load_checkpoint(path)
+        train_epoch(model, state, x, y)
+
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+        monkeypatch.setattr(Path, "write_text", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, cfg, state)
+        monkeypatch.undo()
+        _, after = load_checkpoint(path)
+        assert after.epoch == before.epoch == 1
+        for k in before.params:
+            assert np.array_equal(after.params[k].data, before.params[k].data)
+            assert np.array_equal(after.velocity[k], before.velocity[k])
+        for k in before.stats:
+            assert np.array_equal(after.stats[k].mean, before.stats[k].mean)
+            assert np.array_equal(after.stats[k].var, before.stats[k].var)
+        assert sorted(p.name for p in path.iterdir()) == ["manifest.json", "params.bin"]
+
+
+class TestRemovedConfigKeys:
+    """Manifests written before stage_widths, primary_caps_channels,
+    se_ratio and wide_plan were dropped from ModelConfig."""
+
+    def _with_model_config(self, path, **extra):
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["model_config"].update(extra)
+        (path / "manifest.json").write_text(json.dumps(manifest))
+
+    def test_old_defaults_still_load(self, trained):
+        cfg, _, state, path, _ = trained
+        self._with_model_config(path, stage_widths=None, primary_caps_channels=None,
+                                se_ratio=None, wide_plan="quarter_half")
+        cfg2, state2 = load_checkpoint(path)
+        assert cfg2 == cfg
+        for k in state.params:
+            assert np.array_equal(state2.params[k].data, state.params[k].data)
+
+    @pytest.mark.parametrize("extra", [dict(wide_plan="half_double"),
+                                       dict(stage_widths=[8, 8, 8]),
+                                       dict(primary_caps_channels=16),
+                                       dict(se_ratio=2)],
+                             ids=["wide_plan", "stage_widths", "primary_caps_channels",
+                                  "se_ratio"])
+    def test_other_values_rejected(self, trained, extra):
+        *_, path, _ = trained
+        self._with_model_config(path, **extra)
+        with pytest.raises(ConfigError, match="unknown model config keys"):
+            load_checkpoint(path)
 
 
 class TestCorruption:

@@ -58,6 +58,19 @@ def test_eval_missing_checkpoint_is_clean_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_rejects_a_removed_width_plan(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    main(["train", *FAST_DATA, *FAST_TRAIN, "--quiet", "--out", str(out_dir)])
+    manifest_path = out_dir / "checkpoint" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["model_config"]["wide_plan"] = "half_double"
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = main(["eval", *FAST_DATA, "--checkpoint", str(out_dir / "checkpoint")])
+    assert code == 2
+    assert "wide_plan" in capsys.readouterr().err
+
+
 def test_ablate_selected_rungs(capsys):
     code = main(["ablate", *FAST_DATA, *FAST_TRAIN, "--quiet",
                  "--rungs", "v1", "v5"])

@@ -20,10 +20,6 @@ class TestConfig:
         cfg = ModelConfig(**TOY)
         assert cfg.resolved_stage_widths() == (8, 16, 32)
 
-    def test_explicit_stage_widths_win(self):
-        cfg = ModelConfig(**{**TOY, "stage_widths": (8, 8, 8)})
-        assert cfg.resolved_stage_widths() == (8, 8, 8)
-
     def test_round_trip_dict(self):
         cfg = ModelConfig(**TOY)
         again = ModelConfig.from_dict(cfg.to_dict())
@@ -39,7 +35,7 @@ class TestConfig:
         dict(block_variant="narrow"),
         dict(routing="em"),
         dict(dtype="float16"),
-        dict(primary_caps_channels=17),
+        dict(primary_caps_dim=0),
         dict(input_shape=(0, 16, 1)),
     ])
     def test_validation_errors(self, bad):
@@ -56,8 +52,7 @@ class TestModel:
 
     def test_too_small_input_rejected(self):
         with pytest.raises(ConfigError):
-            toy_model(input_shape=(2, 2, 1), stem_widths=(4, 8, 8, 16),
-                      primary_caps_channels=16)
+            toy_model(input_shape=(2, 2, 1), primary_caps_dim=32)
 
     def test_forward_output_shapes(self, rng):
         model, cfg = toy_model()
@@ -93,16 +88,15 @@ class TestModel:
         # class j: every agreement is (n - 1) / 2 = 127.5, past the 88.7
         # where float32 exp overflows
         model, _ = toy_model(routing="original", use_attention=False,
-                             input_shape=(32, 32, 1), stem_widths=(8, 16, 16, 32),
-                             primary_caps_dim=1, primary_caps_channels=16)
+                             stem_widths=(8, 16, 16, 32), primary_caps_dim=1)
         assert model.num_primary == 256
         params, stats = model.init_params(0)
-        params["primary.bn.beta"] = Tensor(np.full(16, 5.0, dtype=np.float32))
-        params["primary.bn.gamma"] = Tensor(np.full(16, 1e-3, dtype=np.float32))
+        params["primary.bn.beta"] = Tensor(np.full(64, 5.0, dtype=np.float32))
+        params["primary.bn.gamma"] = Tensor(np.full(64, 1e-3, dtype=np.float32))
         j, n, _, k = params["caps.w"].shape
         d = rng.standard_normal((j, 1, 1, k)).astype(np.float32)
         params["caps.w"] = Tensor(np.broadcast_to(d, (j, n, 1, k)).copy())
-        out = model.forward(params, stats, rng.standard_normal((2, 32, 32, 1)))
+        out = model.forward(params, stats, rng.standard_normal((2, 16, 16, 1)))
         assert np.allclose(out.agreements.data, 127.5, rtol=1e-4)
         assert np.all(np.isfinite(out.probs.data))
         assert np.allclose(out.probs.data.sum(-1), 1.0, atol=1e-6)

@@ -449,9 +449,15 @@ class TestConv2d:
 
 class TestPoolAndBatchNorm:
     def test_global_avg_pool(self, rng):
+        # se_block's global average pool: reduce_mean over the spatial axes of [N,H,W,C]
         x = rng.standard_normal((2, 3, 4, 5))
-        out = ops.global_avg_pool(Tensor(x))
+        t = Tensor(x, requires_grad=True)
+        with GradientTape() as tape:
+            out = ops.reduce_mean(t, axis=(1, 2))
+            total = ops.reduce_sum(out)
+        (g,) = tape.gradient(total, [t])
         assert np.allclose(out.data, x.mean(axis=(1, 2)))
+        assert np.allclose(g, np.full_like(x, 1 / 12))
 
     def test_batch_norm_normalizes_in_training(self, rng):
         x = rng.standard_normal((16, 3, 3, 4)) * 3 + 2
