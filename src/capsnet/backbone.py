@@ -13,6 +13,7 @@ Block width plans, given a stage width f:
 
 Every block carries a projection skip (1x1 conv + BN) regardless of shape,
 and optionally a squeeze-excite gate on the residual branch before the add.
+Each batch norm follows a conv, and both run as one ``conv_bn``.
 """
 
 from __future__ import annotations
@@ -52,9 +53,23 @@ def _init_bn(params: dict, stats: dict, name: str, c: int, dtype) -> None:
     stats[name] = RunningStats(c, dtype=dtype)
 
 
-def _bn(params: dict, stats: dict, name: str, x, training: bool):
-    return ops.batch_norm(x, params[name + ".gamma"], params[name + ".beta"],
-                          stats[name], training)
+def conv_bn(params: dict, stats: dict, conv: str, bn: str, x, stride: int,
+            training: bool):
+    """Same-padded conv ``conv`` followed by batch norm ``bn``.
+
+    Training runs the conv, then ``ops.batch_norm`` on batch statistics.
+    Eval folds the running statistics into the conv (Jacob et al. 2018,
+    section 3.2): ``conv2d(x, w * scale) + shift``, one pass over the
+    activations instead of two.  The fold is made of tape ops, so eval
+    still differentiates under a tape.
+    """
+    w = params[conv + ".w"]
+    gamma, beta = params[bn + ".gamma"], params[bn + ".beta"]
+    if training:
+        y = ops.conv2d(x, w, stride=stride, padding="same")
+        return ops.batch_norm(y, gamma, beta, stats[bn], training=True)
+    scale, shift = ops.fold_batch_norm(gamma, beta, stats[bn], w.dtype)
+    return ops.conv2d(x, ops.multiply(w, scale), stride=stride, padding="same", bias=shift)
 
 
 class Stem:
@@ -115,17 +130,14 @@ class Bottleneck:
 
     def __call__(self, params: dict, stats: dict, x, training: bool):
         p = self.prefix
-        y = ops.conv2d(x, params[f"{p}.conv1.w"], stride=1, padding="same")
-        y = ops.relu(_bn(params, stats, f"{p}.bn1", y, training))
-        y = ops.conv2d(y, params[f"{p}.conv2.w"], stride=self.stride, padding="same")
-        y = ops.relu(_bn(params, stats, f"{p}.bn2", y, training))
-        y = ops.conv2d(y, params[f"{p}.conv3.w"], stride=1, padding="same")
-        y = _bn(params, stats, f"{p}.bn3", y, training)
+        y = ops.relu(conv_bn(params, stats, f"{p}.conv1", f"{p}.bn1", x, 1, training))
+        y = ops.relu(conv_bn(params, stats, f"{p}.conv2", f"{p}.bn2", y, self.stride,
+                             training))
+        y = conv_bn(params, stats, f"{p}.conv3", f"{p}.bn3", y, 1, training)
         if self.use_se:
             y = se_block(y, params[f"{p}.se.w1"], params[f"{p}.se.b1"],
                          params[f"{p}.se.w2"], params[f"{p}.se.b2"])
-        skip = ops.conv2d(x, params[f"{p}.proj.w"], stride=self.stride, padding="same")
-        skip = _bn(params, stats, f"{p}.projbn", skip, training)
+        skip = conv_bn(params, stats, f"{p}.proj", f"{p}.projbn", x, self.stride, training)
         return ops.relu(ops.add(y, skip))
 
 

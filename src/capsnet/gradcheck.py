@@ -16,6 +16,7 @@ import numpy as np
 
 from . import ops
 from .attention import attention_capsules, se_block
+from .backbone import conv_bn
 from .config import ModelConfig
 from .errors import GradientCheckError
 from .model import CapsuleClassifier
@@ -238,6 +239,23 @@ def standard_checks(h: float = DEFAULT_STEP, tol: float = DEFAULT_TOL,
             return ops.reduce_sum(ops.multiply(out, Tensor(proj)))
         return loss, {"x": x, "w": w}
 
+    def conv2d_bias_case(rng):
+        # An eval conv_bn: a 3x3 conv of the folded kernel, with the folded
+        # shift as its bias.
+        x = _t(rng, 2, 4, 4, 2)
+        params = {"conv.w": _t(rng, 3, 3, 2, 3, scale=0.5),
+                  "bn.gamma": Tensor(rng.uniform(0.5, 1.5, 3), requires_grad=True),
+                  "bn.beta": _t(rng, 3, scale=0.2)}
+        stats = {"bn": ops.RunningStats(3, dtype=np.float64)}
+        stats["bn"].load({"mean": rng.standard_normal(3) * 0.2,
+                          "var": rng.uniform(0.5, 1.5, 3)})
+        proj = np.random.default_rng([seed, 111]).standard_normal((2, 4, 4, 3))
+
+        def loss():
+            out = conv_bn(params, stats, "conv", "bn", x, 1, training=False)
+            return ops.reduce_sum(ops.multiply(out, Tensor(proj)))
+        return loss, {"x": x, **params}
+
     check("conv2d", conv2d_case)
     check("batch_norm", batch_norm_case)
     check("matmul", matmul_case)
@@ -250,6 +268,7 @@ def standard_checks(h: float = DEFAULT_STEP, tol: float = DEFAULT_TOL,
     check("cross_entropy_loss", cross_entropy_case)
     # Appended after the older rungs, so each of them keeps its rng stream.
     check("conv2d_1x1", conv2d_1x1_case)
+    check("conv2d_bias", conv2d_bias_case)
 
     if include_model:
         results.append(model_check(h=h, tol=tol, seed=seed,

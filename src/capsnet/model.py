@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ops
 from .attention import attention_capsules, default_se_ratio
-from .backbone import Backbone, _bn, _init_bn, _init_conv, parameter_count
+from .backbone import Backbone, _init_bn, _init_conv, conv_bn, parameter_count
 from .config import ModelConfig
 from .errors import ConfigError, ShapeError
 from .initializers import he_normal
@@ -112,8 +112,7 @@ class CapsuleClassifier:
         cfg = self.config
         x = self._as_input(x)
         feats = self.backbone(params, stats, x, training)
-        y = ops.conv2d(x=feats, w=params["primary.conv.w"], stride=PRIMARY_STRIDE, padding="same")
-        y = _bn(params, stats, "primary.bn", y, training)
+        y = conv_bn(params, stats, "primary.conv", "primary.bn", feats, PRIMARY_STRIDE, training)
         batch = x.shape[0]
         caps = ops.reshape(y, (batch, self.num_primary, cfg.primary_caps_dim))
         u = squash(caps, axis=-1)

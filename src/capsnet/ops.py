@@ -290,9 +290,22 @@ def _pad_hw(x: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.n
     return xp
 
 
-def conv2d(x, w, stride: int = 1, padding: str = "same") -> Tensor:
-    """2D cross-correlation of an [N,H,W,C] batch with a [kh,kw,C,F] kernel."""
+# Bytes of im2col matrix an untracked 3x3 conv builds at a time: it streams
+# the batch through this in chunks of whole samples (at least one).
+_IM2COL_BUDGET = 4 << 20
+
+
+def conv2d(x, w, stride: int = 1, padding: str = "same", bias=None) -> Tensor:
+    """2D cross-correlation of an [N,H,W,C] batch with a [kh,kw,C,F] kernel,
+    plus an optional per-channel [F] ``bias``.
+
+    A tracked call (a tape is active and ``x``, ``w`` or ``bias`` requires
+    grad) builds the im2col matrix of the whole batch once and keeps it for
+    the kernel gradient.  An untracked call builds it ``_IM2COL_BUDGET``
+    bytes at a time, so its memory is the output plus a bounded buffer.
+    """
     x, w = as_tensor(x), as_tensor(w)
+    b = None if bias is None else as_tensor(bias)
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be [N,H,W,C], got shape {x.shape}")
     if w.ndim != 4:
@@ -303,22 +316,36 @@ def conv2d(x, w, stride: int = 1, padding: str = "same") -> Tensor:
     kh, kw, c_in, c_out = w.shape
     if c != c_in:
         raise ShapeError(f"input has {c} channels but kernel expects {c_in}")
+    if b is not None and b.shape != (c_out,):
+        raise ShapeError(f"conv2d bias must be [{c_out}], got shape {b.shape}")
     ho, wo, pt, pb, pl, pr = _conv_geometry(h, wd, kh, kw, stride, padding)
     if kh == kw == 1:
-        return _conv2d_1x1(x, w, stride)
+        return _conv2d_1x1(x, w, b, stride)
 
-    xp = _pad_hw(x.data, pt, pb, pl, pr)
-    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    windows = windows[:, :ho, :wo]
-    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
-    cols = cols.reshape(n * ho * wo, kh * kw * c)
-    wmat = w.data.reshape(kh * kw * c_in, c_out)
-    data = (cols @ wmat).reshape(n, ho, wo, c_out)
-
-    padded_shape = xp.shape
+    tracked = active_tape() is not None and any(
+        t is not None and t.requires_grad for t in (x, w, b))
+    rows, k = ho * wo, kh * kw * c
+    wmat = w.data.reshape(k, c_out)
+    data = np.empty((n, ho, wo, c_out), dtype=np.result_type(x.dtype, w.dtype))
+    out = data.reshape(n * rows, c_out)
+    chunk = n if tracked else max(1, _IM2COL_BUDGET // (rows * k * x.dtype.itemsize))
+    for s in range(0, n, chunk):
+        e = min(s + chunk, n)
+        xp = _pad_hw(x.data[s:e], pt, pb, pl, pr)
+        windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+        windows = windows[:, :ho, :wo]
+        cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
+        cols = cols.reshape((e - s) * rows, k)
+        dst = out[s * rows:e * rows]
+        np.matmul(cols, wmat, out=dst)
+        if b is not None:
+            dst += b.data
+    # A tracked call ran one chunk, so ``cols`` is the whole batch's; an
+    # untracked call's vjps are never recorded.
+    padded_shape = (n, h + pt + pb, wd + pl + pr, c)
 
     def vjp_x(g):
-        gmat = g.reshape(n * ho * wo, c_out)
+        gmat = g.reshape(n * rows, c_out)
         gcols = (gmat @ wmat.T).reshape(n, ho, wo, kh, kw, c)
         gx = np.zeros(padded_shape, dtype=g.dtype)
         for i in range(kh):
@@ -328,13 +355,19 @@ def conv2d(x, w, stride: int = 1, padding: str = "same") -> Tensor:
         return gx[:, pt:pt + h, pl:pl + wd, :]
 
     def vjp_w(g):
-        gmat = g.reshape(n * ho * wo, c_out)
+        gmat = g.reshape(n * rows, c_out)
         return (cols.T @ gmat).reshape(kh, kw, c_in, c_out)
 
-    return _make(data, [(x, vjp_x), (w, vjp_w)])
+    return _make(data, [(x, vjp_x), (w, vjp_w)] + _bias_pair(b))
 
 
-def _conv2d_1x1(x: Tensor, w: Tensor, stride: int) -> Tensor:
+def _bias_pair(b: Optional[Tensor]) -> list:
+    """The (bias, vjp) pair of a conv's optional bias: its gradient sums the
+    cotangent over batch and pixels."""
+    return [] if b is None else [(b, lambda g: g.sum(axis=(0, 1, 2)))]
+
+
+def _conv2d_1x1(x: Tensor, w: Tensor, b: Optional[Tensor], stride: int) -> Tensor:
     """A 1x1 convolution is one matmul over the pixels it samples.
 
     Its padding is always zero, under "same" and "valid" alike, so there is
@@ -347,6 +380,8 @@ def _conv2d_1x1(x: Tensor, w: Tensor, stride: int) -> Tensor:
     cols = xs.reshape(n * ho * wo, c)  # a copy only when strided
     wmat = w.data.reshape(c, c_out)
     data = (cols @ wmat).reshape(n, ho, wo, c_out)
+    if b is not None:
+        data += b.data
 
     def vjp_x(g):
         gx = (g.reshape(n * ho * wo, c_out) @ wmat.T).reshape(n, ho, wo, c)
@@ -359,7 +394,7 @@ def _conv2d_1x1(x: Tensor, w: Tensor, stride: int) -> Tensor:
     def vjp_w(g):
         return (cols.T @ g.reshape(n * ho * wo, c_out)).reshape(1, 1, c, c_out)
 
-    return _make(data, [(x, vjp_x), (w, vjp_w)])
+    return _make(data, [(x, vjp_x), (w, vjp_w)] + _bias_pair(b))
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +426,8 @@ def batch_norm(x, gamma, beta, stats: RunningStats, training: bool,
     so gradient checks see the exact Jacobian) and folds them into ``stats``.
     Eval mode treats the running statistics as constants and folds them with
     ``gamma`` and ``beta`` into one per-channel affine map ``x * scale + shift``
-    (Ioffe & Szegedy, 2015); the fold is made of [C]-sized ops, so gradients
-    still reach ``x``, ``gamma`` and ``beta`` under a tape.
+    (Ioffe & Szegedy, 2015; see ``fold_batch_norm``), so gradients still
+    reach ``x``, ``gamma`` and ``beta`` under a tape.
     """
     x = as_tensor(x)
     gamma, beta = as_tensor(gamma), as_tensor(beta)
@@ -414,7 +449,19 @@ def batch_norm(x, gamma, beta, stats: RunningStats, training: bool,
         inv = divide(1.0, sqrt(add(v, eps)))
         normed = multiply(centered, reshape(inv, (1,) * (x.ndim - 1) + (c,)))
         return add(multiply(normed, gamma), beta)
-    inv = 1.0 / np.sqrt(stats.var.astype(x.dtype) + x.dtype.type(eps))
-    scale = multiply(gamma, inv)
-    shift = subtract(beta, multiply(stats.mean.astype(x.dtype), scale))
+    scale, shift = fold_batch_norm(gamma, beta, stats, x.dtype, eps)
     return add(multiply(x, scale), shift)
+
+
+def fold_batch_norm(gamma, beta, stats: RunningStats, dtype,
+                    eps: float = 1e-5) -> tuple[Tensor, Tensor]:
+    """Eval batch norm as the per-channel affine map ``x * scale + shift``.
+
+    The running statistics are constants in ``dtype``; ``scale`` and
+    ``shift`` are [C]-sized tape ops on ``gamma`` and ``beta``, so gradients
+    reach them through whatever consumes the fold.
+    """
+    inv = 1.0 / np.sqrt(stats.var.astype(dtype) + dtype.type(eps))
+    scale = multiply(gamma, inv)
+    shift = subtract(beta, multiply(stats.mean.astype(dtype), scale))
+    return scale, shift

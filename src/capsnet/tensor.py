@@ -8,6 +8,7 @@ parameter tensors instead of writing through old ones.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -64,11 +65,13 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
 
 
-_ACTIVE_TAPE: Optional["GradientTape"] = None
+# The tape of the current context: a thread sees only a tape it opened
+# itself, so one thread's tape never records another thread's ops.
+_ACTIVE_TAPE: ContextVar[Optional["GradientTape"]] = ContextVar("active_tape", default=None)
 
 
 def active_tape() -> Optional["GradientTape"]:
-    return _ACTIVE_TAPE
+    return _ACTIVE_TAPE.get()
 
 
 class GradientTape:
@@ -85,8 +88,9 @@ class GradientTape:
     newest-first and frees each record (with the forward activations its
     closures hold) and each intermediate gradient as soon as it is used, so
     a second call raises ``RuntimeError``.  ``len()`` counts the operations
-    recorded, before and after.  Tapes do not nest; forward/backward over
-    one tape is single-threaded.
+    recorded, before and after.  A tape is active only in the context
+    (thread) that entered it, and tapes do not nest within one context;
+    forward/backward over one tape is single-threaded.
     """
 
     def __init__(self):
@@ -95,15 +99,13 @@ class GradientTape:
         self._consumed = False
 
     def __enter__(self) -> "GradientTape":
-        global _ACTIVE_TAPE
-        if _ACTIVE_TAPE is not None:
+        if _ACTIVE_TAPE.get() is not None:
             raise RuntimeError("a GradientTape is already active; tapes do not nest")
-        _ACTIVE_TAPE = self
+        _ACTIVE_TAPE.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = None
+        _ACTIVE_TAPE.set(None)
         return False
 
     def record(

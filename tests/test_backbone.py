@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from capsnet import Tensor
-from capsnet.backbone import Backbone, Bottleneck, Stem, block_widths, parameter_count
+from capsnet import Tensor, ops
+from capsnet.backbone import (Backbone, Bottleneck, Stem, block_widths, conv_bn,
+                              parameter_count)
 from capsnet.errors import ConfigError
+from capsnet.gradcheck import finite_diff_check
 
 
 def build(layer, seed=0, dtype=np.float64):
@@ -137,3 +139,49 @@ class TestStageAndBackbone:
         assert [bb.blocks[i].widths for i in firsts] == [
             (16, 32, 64), (32, 64, 128), (64, 128, 256)]
         assert bb.out_channels == 256
+
+
+class TestConvBn:
+    @staticmethod
+    def _case(rng, k, n=3, hw=(7, 6), cin=3, cout=5):
+        params = {"c.w": Tensor(rng.standard_normal((k, k, cin, cout)) * 0.5,
+                                requires_grad=True),
+                  "bn.gamma": Tensor(rng.uniform(0.5, 2.0, cout), requires_grad=True),
+                  "bn.beta": Tensor(rng.standard_normal(cout), requires_grad=True)}
+        stats = {"bn": ops.RunningStats(cout, dtype=np.float64)}
+        stats["bn"].load({"mean": rng.standard_normal(cout), "var": rng.uniform(0.2, 3.0, cout)})
+        x = Tensor(rng.standard_normal((n,) + hw + (cin,)) * 2.0 + 0.5, requires_grad=True)
+        return params, stats, x
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_eval_matches_conv_then_batch_norm(self, rng, k, stride):
+        params, stats, x = self._case(rng, k)
+        folded = conv_bn(params, stats, "c", "bn", x, stride, training=False)
+        y = ops.conv2d(x, params["c.w"], stride=stride, padding="same")
+        ref = ops.batch_norm(y, params["bn.gamma"], params["bn.beta"], stats["bn"],
+                             training=False)
+        assert np.max(np.abs(folded.data - ref.data)) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_eval_gradient_finite_difference(self, rng, k):
+        params, stats, x = self._case(rng, k, n=2, hw=(5, 4), cin=2, cout=3)
+        proj = Tensor(rng.standard_normal((2, 3, 2, 3)))
+        result = finite_diff_check(
+            "conv_bn_eval", lambda: ops.reduce_sum(ops.multiply(
+                conv_bn(params, stats, "c", "bn", x, 2, training=False), proj)),
+            {"x": x, **params}, tol=1e-6)
+        assert result.coords == x.size + k * k * 6 + 6
+        assert result.passed, result.line()
+
+    def test_training_is_conv_then_batch_norm(self, rng):
+        params, stats, x = self._case(rng, 3)
+        ref_stats = ops.RunningStats(5, dtype=np.float64)
+        ref_stats.load({"mean": stats["bn"].mean, "var": stats["bn"].var})
+        out = conv_bn(params, stats, "c", "bn", x, 2, training=True)
+        y = ops.conv2d(x, params["c.w"], stride=2, padding="same")
+        ref = ops.batch_norm(y, params["bn.gamma"], params["bn.beta"], ref_stats,
+                             training=True)
+        assert np.array_equal(out.data, ref.data)
+        assert np.array_equal(stats["bn"].mean, ref_stats.mean)
+        assert np.array_equal(stats["bn"].var, ref_stats.var)

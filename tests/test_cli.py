@@ -24,7 +24,7 @@ def test_routing_demo_matches_oracle(capsys):
 def test_gradcheck_ops_only(capsys):
     assert main(["gradcheck", "--skip-model"]) == 0
     out = capsys.readouterr().out
-    assert "11/11 gradient checks passed" in out
+    assert "12/12 gradient checks passed" in out
     assert "conv2d" in out and "fm_interaction" in out
 
 

@@ -76,6 +76,7 @@ def test_standard_op_checks_all_pass():
     names = [r.name for r in results]
     assert names == ["conv2d", "batch_norm", "matmul", "softmax", "squash",
                      "l2_normalize", "fm_interaction", "se_block",
-                     "attention_capsules", "cross_entropy_loss", "conv2d_1x1"]
+                     "attention_capsules", "cross_entropy_loss", "conv2d_1x1",
+                     "conv2d_bias"]
     for r in results:
         assert r.passed, r.line()

@@ -1,6 +1,8 @@
 """Tensor engine and op-level tests: forward values against numpy, reverse
 mode against hand derivatives, and the recording semantics of the tape."""
 
+import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -13,7 +15,7 @@ from capsnet import (CapsuleClassifier, GradientTape, ModelConfig, Tensor,
                      cross_entropy_loss, one_hot)
 from capsnet import ops
 from capsnet.errors import BatchSizeError, ShapeError
-from capsnet.gradcheck import finite_diff_check
+from capsnet.gradcheck import finite_diff_check, toy_model_config
 
 
 def grad_of(fn, *tensors):
@@ -68,6 +70,43 @@ class TestTape:
             with pytest.raises(RuntimeError):
                 with GradientTape():
                     pass
+
+    def test_tape_is_per_thread(self):
+        # While a worker thread holds an open tape, this thread's eval
+        # forward records nothing on it, and this thread may open its own.
+        model = CapsuleClassifier(toy_model_config())
+        params, stats = model.init_params(0)
+        x = np.random.default_rng(0).standard_normal((4,) + model.config.input_shape)
+        expected = model.forward(params, stats, x).probs.data
+        opened, release = threading.Event(), threading.Event()
+        held = {}
+
+        def hold():
+            with GradientTape() as tape:
+                held["tape"] = tape
+                try:
+                    with GradientTape():
+                        pass
+                except RuntimeError:
+                    held["refused_nesting"] = True
+                opened.set()
+                release.wait(timeout=60)
+
+        worker = threading.Thread(target=hold)
+        worker.start()
+        try:
+            assert opened.wait(timeout=60)
+            probs = model.forward(params, stats, x).probs
+            with GradientTape() as mine:
+                ops.square(Tensor([1.0], requires_grad=True))
+        finally:
+            release.set()
+            worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert held["refused_nesting"]
+        assert len(held["tape"]) == 0 and len(mine) == 1
+        assert not probs.requires_grad
+        assert np.array_equal(probs.data, expected)
 
     def test_gradient_requires_scalar_loss(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -445,6 +484,77 @@ class TestConv2d:
             {"x": x, "w": w}, tol=1e-6)
         assert result.coords == x.size + w.size
         assert result.passed, result.line()
+
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_bias_matches_conv_plus_bias(self, rng, k):
+        x = rng.standard_normal((2, 6, 5, 3))
+        w = rng.standard_normal((k, k, 3, 4))
+        b = rng.standard_normal(4)
+        out = ops.conv2d(Tensor(x), Tensor(w), stride=2, bias=Tensor(b))
+        ref = conv2d_loop_reference(x, w, 2, "same") + b
+        assert np.max(np.abs(out.data - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_bias_gradient_finite_difference(self, rng, k):
+        x = Tensor(rng.standard_normal((2, 4, 5, 2)), requires_grad=True)
+        w = Tensor(rng.standard_normal((k, k, 2, 3)) * 0.5, requires_grad=True)
+        b = Tensor(rng.standard_normal(3), requires_grad=True)
+        proj = Tensor(rng.standard_normal((2, 2, 3, 3)))
+        result = finite_diff_check(
+            "conv2d_bias", lambda: ops.reduce_sum(ops.multiply(
+                ops.conv2d(x, w, stride=2, bias=b), proj)),
+            {"x": x, "w": w, "b": b}, tol=1e-6)
+        assert result.coords == x.size + w.size + b.size
+        assert result.passed, result.line()
+
+    def test_bias_shape_error(self, rng):
+        x = Tensor(rng.standard_normal((1, 5, 5, 2)))
+        for k in (1, 3):
+            with pytest.raises(ShapeError):
+                ops.conv2d(x, Tensor(rng.standard_normal((k, k, 2, 4))),
+                           bias=Tensor(np.zeros(3)))
+
+    @pytest.mark.parametrize("n,chunk,stride,padding", [
+        (7, 3, 1, "same"),    # the batch is not a multiple of the chunk
+        (2, 5, 1, "same"),    # the batch is smaller than one chunk
+        (5, 2, 2, "same"),
+        (5, 2, 1, "valid"),
+    ])
+    def test_streamed_forward_matches_full_buffer(self, rng, monkeypatch, n, chunk,
+                                                  stride, padding):
+        x = rng.standard_normal((n, 7, 6, 3))
+        w = rng.standard_normal((3, 3, 3, 4))
+        b = rng.standard_normal(4)
+        ho, wo = ops._conv_geometry(7, 6, 3, 3, stride, padding)[:2]
+        monkeypatch.setattr(ops, "_IM2COL_BUDGET", chunk * ho * wo * 27 * x.itemsize)
+        gathers = []
+        window_view = ops.sliding_window_view
+        monkeypatch.setattr(ops, "sliding_window_view",
+                            lambda *a, **k: gathers.append(1) or window_view(*a, **k))
+        streamed = ops.conv2d(Tensor(x), Tensor(w), stride, padding, bias=Tensor(b)).data
+        assert len(gathers) == -(-n // chunk)
+        with GradientTape():  # tracked: one chunk of the whole batch
+            full = ops.conv2d(Tensor(x, requires_grad=True), Tensor(w), stride, padding,
+                              bias=Tensor(b)).data
+        assert len(gathers) == -(-n // chunk) + 1
+        assert np.max(np.abs(streamed - full)) <= 1e-12
+        ref = conv2d_loop_reference(x, w, stride, padding) + b
+        assert np.max(np.abs(streamed - ref)) <= 1e-12
+
+    def test_untracked_3x3_peak_memory_is_bounded(self):
+        # The im2col matrix of the whole batch would be 9x the input; an
+        # untracked call holds the output plus at most one budget of it.
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((64, 32, 32, 64), dtype=np.float32))
+        w = Tensor(rng.standard_normal((3, 3, 64, 128), dtype=np.float32))
+        tracemalloc.start()
+        try:
+            out = ops.conv2d(x, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * (x.data.nbytes + out.data.nbytes + ops._IM2COL_BUDGET)
 
 
 class TestPoolAndBatchNorm:
