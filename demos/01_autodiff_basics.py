@@ -38,7 +38,7 @@ def main():
     z = Tensor(rng.standard_normal(5), requires_grad=True)
     proj = rng.standard_normal(5)
     with GradientTape() as tape:
-        loss = ops.reduce_sum(ops.multiply(ops.softmax(z, axis=-1), Tensor(proj)))
+        loss = ops.reduce_sum(ops.multiply(ops.softmax(z), Tensor(proj)))
     g = tape.gradient(loss, [z])[0]
 
     h = 1e-6

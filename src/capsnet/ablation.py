@@ -11,6 +11,7 @@ Each rung flips one design choice on top of the previous rung:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from .config import ModelConfig, TrainConfig
@@ -38,7 +39,7 @@ def ladder_config(base: ModelConfig, rung: str) -> ModelConfig:
     """Apply a rung's switches to a base config (other fields unchanged)."""
     if rung not in RUNG_SWITCHES:
         raise ConfigError(f"unknown ladder rung {rung!r}; choose from {LADDER}")
-    return base.with_overrides(**RUNG_SWITCHES[rung])
+    return replace(base, **RUNG_SWITCHES[rung])
 
 
 def run_ladder(base: ModelConfig, train_config: TrainConfig,

@@ -105,7 +105,7 @@ def attention_capsules(poses, agreements, w1, b1, w2, b2) -> AttentionResult:
     gate = ops.sigmoid(ops.dense(hidden, w2, b2))       # [B,J]
     gated_poses = ops.multiply(poses, ops.reshape(gate, (b_, j, 1)))
     gated_agree = ops.multiply(gate, agreements)
-    activations = ops.softmax(gated_agree, axis=-1)
+    activations = ops.softmax(gated_agree)
     return AttentionResult(activations=activations, poses=gated_poses, gates=gate)
 
 

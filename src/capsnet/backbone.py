@@ -60,16 +60,15 @@ def conv_bn(params: dict, stats: dict, conv: str, bn: str, x, stride: int,
     Training runs the conv, then ``ops.batch_norm`` on batch statistics.
     Eval folds the running statistics into the conv (Jacob et al. 2018,
     section 3.2): ``conv2d(x, w * scale) + shift``, one pass over the
-    activations instead of two.  The fold is made of tape ops, so eval
-    still differentiates under a tape.
+    activations instead of two.  This fold is the only eval batch norm.
+    It is made of tape ops, so eval still differentiates under a tape.
     """
     w = params[conv + ".w"]
     gamma, beta = params[bn + ".gamma"], params[bn + ".beta"]
     if training:
-        y = ops.conv2d(x, w, stride=stride, padding="same")
-        return ops.batch_norm(y, gamma, beta, stats[bn], training=True)
+        return ops.batch_norm(ops.conv2d(x, w, stride=stride), gamma, beta, stats[bn])
     scale, shift = ops.fold_batch_norm(gamma, beta, stats[bn], w.dtype)
-    return ops.conv2d(x, ops.multiply(w, scale), stride=stride, padding="same", bias=shift)
+    return ops.conv2d(x, ops.multiply(w, scale), stride=stride, bias=shift)
 
 
 class Stem:

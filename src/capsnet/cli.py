@@ -35,9 +35,10 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data-dir", type=Path, default=None,
                    help="directory with IDX files or CIFAR-10 binary batches")
     p.add_argument("--samples", type=int, default=2000,
-                   help="training samples (synthetic: generated; file-backed: subset)")
+                   help="training samples (synthetic: generated; file-backed: "
+                        "subset, 0 for all)")
     p.add_argument("--test-samples", type=int, default=500,
-                   help="evaluation samples")
+                   help="evaluation samples (file-backed: 0 for all)")
     p.add_argument("--classes", type=int, default=4,
                    help="class count for synthetic datasets")
     p.add_argument("--image-size", type=int, default=16,
@@ -50,7 +51,12 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
 
 def _load_dataset(args) -> tuple[tuple, tuple, tuple, int]:
     """Returns ((x_tr, y_tr), (x_te, y_te), input_shape, num_classes)."""
-    if args.dataset in ("blobs", "bars"):
+    synthetic = args.dataset in ("blobs", "bars")
+    least = 1 if synthetic else 0  # 0 keeps a file-backed split whole
+    for flag, n in (("--samples", args.samples), ("--test-samples", args.test_samples)):
+        if n < least:
+            raise ConfigError(f"{flag} must be >= {least} for dataset {args.dataset!r}, got {n}")
+    if synthetic:
         maker = datasets.make_blobs if args.dataset == "blobs" else datasets.make_bars
         x_tr, y_tr = maker(args.samples, num_classes=args.classes,
                            image_size=args.image_size, noise=args.noise,

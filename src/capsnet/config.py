@@ -6,7 +6,7 @@ through JSON-friendly dicts (used by checkpoints and the command line).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from .backbone import BLOCK_VARIANTS
 from .errors import ConfigError
@@ -85,9 +85,6 @@ class ModelConfig:
         if unknown:
             raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
         return cls(**d)
-
-    def with_overrides(self, **kwargs) -> "ModelConfig":
-        return replace(self, **kwargs)
 
 
 @dataclass

@@ -10,7 +10,7 @@ from __future__ import annotations
 import gzip
 import struct
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -220,12 +220,11 @@ def train_test_split(images: np.ndarray, labels: np.ndarray, test_fraction: floa
 
 
 def take_subset(images: np.ndarray, labels: np.ndarray, n: int,
-                seed: Optional[int] = 0) -> tuple[np.ndarray, np.ndarray]:
-    """First ``n`` rows after a seeded shuffle (or in order when seed=None)."""
+                seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """First ``n`` rows after a seeded shuffle."""
     if n > images.shape[0]:
         raise DataFormatError(f"requested {n} samples but only {images.shape[0]} available")
     idx = np.arange(images.shape[0])
-    if seed is not None:
-        np.random.default_rng(seed).shuffle(idx)
+    np.random.default_rng(seed).shuffle(idx)
     pick = idx[:n]
     return images[pick], labels[pick]

@@ -115,7 +115,7 @@ class CapsuleClassifier:
         y = conv_bn(params, stats, "primary.conv", "primary.bn", feats, PRIMARY_STRIDE, training)
         batch = x.shape[0]
         caps = ops.reshape(y, (batch, self.num_primary, cfg.primary_caps_dim))
-        u = squash(caps, axis=-1)
+        u = squash(caps)
         u_hat = capsule_predictions(u, params["caps.w"])
         routed = route(u_hat, variant=cfg.routing)
         if cfg.use_attention:
@@ -128,7 +128,7 @@ class CapsuleClassifier:
         # 'original' activations are the raw exp(b); exp(b)/sum(exp(b)) is
         # softmax(b), taken shifted so it cannot overflow.
         probs = (routed.activations if cfg.routing == "modified"
-                 else ops.softmax(routed.agreements, axis=-1))
+                 else ops.softmax(routed.agreements))
         return ModelOutput(probs=probs, activations=routed.activations,
                            poses=routed.poses, agreements=routed.agreements)
 

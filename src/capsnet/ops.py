@@ -4,6 +4,10 @@ Every public function here computes its result eagerly with numpy and, when a
 GradientTape is active and some input participates in differentiation,
 records vector-Jacobian closures on the tape.  Outputs keep the dtype of
 their inputs (float64 for verification paths, float32 for training paths).
+
+Each op has one form: conv2d pads "same", softmax runs along the last axis
+and batch_norm is the training op; eval batch norm is ``fold_batch_norm``,
+which ``backbone.conv_bn`` folds into the conv before it.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ from .errors import BatchSizeError, ShapeError
 from .tensor import Tensor, active_tape, as_tensor
 
 Axis = Union[None, int, tuple[int, ...]]
+
+BN_EPS = 1e-5        # added to the variance before its square root
+BN_MOMENTUM = 0.9    # weight of the old running statistics per update
 
 
 def _make(data: np.ndarray, pairs: Sequence[tuple[Tensor, Optional[callable]]]) -> Tensor:
@@ -175,24 +182,24 @@ def reduce_sum(x, axis: Axis = None, keepdims: bool = False) -> Tensor:
                          _spread(g, a, k, s).copy())])
 
 
-def reduce_mean(x, axis: Axis = None, keepdims: bool = False) -> Tensor:
+def reduce_mean(x, axis: Axis = None) -> Tensor:
     x = as_tensor(x)
     axes = _normalize_axes(axis, x.ndim)
-    data = x.data.mean(axis=axes, keepdims=keepdims)
+    data = x.data.mean(axis=axes)
     count = x.data.size // max(data.size, 1)
-    return _make(data, [(x, lambda g, a=axes, k=keepdims, s=x.data.shape, c=count:
-                         _spread(g, a, k, s) / c)])
+    return _make(data, [(x, lambda g, a=axes, s=x.data.shape, c=count:
+                         _spread(g, a, False, s) / c)])
 
 
-def softmax(x, axis: int = -1) -> Tensor:
-    """Numerically shifted softmax along ``axis``."""
+def softmax(x) -> Tensor:
+    """Numerically shifted softmax along the last axis."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
-    def vjp(g, yd=y, ax=axis):
-        inner = (g * yd).sum(axis=ax, keepdims=True)
+    def vjp(g, yd=y):
+        inner = (g * yd).sum(axis=-1, keepdims=True)
         return yd * (g - inner)
 
     return _make(y, [(x, vjp)])
@@ -214,12 +221,9 @@ def matmul(a, b) -> Tensor:
     ])
 
 
-def dense(x, w, b=None) -> Tensor:
+def dense(x, w, b) -> Tensor:
     """Affine map ``x @ w + b`` for a [N, d_in] batch."""
-    out = matmul(x, w)
-    if b is not None:
-        out = add(out, b)
-    return out
+    return add(matmul(x, w), b)
 
 
 _EINSUM_LETTERS = set("abcdefghijklmnopqrstuvwxyz")
@@ -260,22 +264,13 @@ def einsum2(pattern: str, a, b) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution (NHWC layout, [kh, kw, c_in, c_out] kernels)
 
-def _conv_geometry(h: int, w: int, kh: int, kw: int, stride: int, padding: str):
-    if padding == "same":
-        ho = math.ceil(h / stride)
-        wo = math.ceil(w / stride)
-        pad_h = max((ho - 1) * stride + kh - h, 0)
-        pad_w = max((wo - 1) * stride + kw - w, 0)
-    elif padding == "valid":
-        if h < kh or w < kw:
-            raise ShapeError(
-                f"valid convolution needs input at least kernel-sized, "
-                f"got input {h}x{w} and kernel {kh}x{kw}")
-        ho = (h - kh) // stride + 1
-        wo = (w - kw) // stride + 1
-        pad_h = pad_w = 0
-    else:
-        raise ShapeError(f"padding must be 'same' or 'valid', got {padding!r}")
+def _conv_geometry(h: int, w: int, kh: int, kw: int, stride: int):
+    """Output size and (top, bottom, left, right) zero padding of a "same"
+    convolution: a side n maps to ceil(n / stride)."""
+    ho = math.ceil(h / stride)
+    wo = math.ceil(w / stride)
+    pad_h = max((ho - 1) * stride + kh - h, 0)
+    pad_w = max((wo - 1) * stride + kw - w, 0)
     top, left = pad_h // 2, pad_w // 2
     return ho, wo, top, pad_h - top, left, pad_w - left
 
@@ -295,9 +290,9 @@ def _pad_hw(x: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.n
 _IM2COL_BUDGET = 4 << 20
 
 
-def conv2d(x, w, stride: int = 1, padding: str = "same", bias=None) -> Tensor:
-    """2D cross-correlation of an [N,H,W,C] batch with a [kh,kw,C,F] kernel,
-    plus an optional per-channel [F] ``bias``.
+def conv2d(x, w, stride: int = 1, bias=None) -> Tensor:
+    """Same-padded 2D cross-correlation of an [N,H,W,C] batch with a
+    [kh,kw,C,F] kernel, plus an optional per-channel [F] ``bias``.
 
     A tracked call (a tape is active and ``x``, ``w`` or ``bias`` requires
     grad) builds the im2col matrix of the whole batch once and keeps it for
@@ -318,7 +313,7 @@ def conv2d(x, w, stride: int = 1, padding: str = "same", bias=None) -> Tensor:
         raise ShapeError(f"input has {c} channels but kernel expects {c_in}")
     if b is not None and b.shape != (c_out,):
         raise ShapeError(f"conv2d bias must be [{c_out}], got shape {b.shape}")
-    ho, wo, pt, pb, pl, pr = _conv_geometry(h, wd, kh, kw, stride, padding)
+    ho, wo, pt, pb, pl, pr = _conv_geometry(h, wd, kh, kw, stride)
     if kh == kw == 1:
         return _conv2d_1x1(x, w, b, stride)
 
@@ -370,8 +365,8 @@ def _bias_pair(b: Optional[Tensor]) -> list:
 def _conv2d_1x1(x: Tensor, w: Tensor, b: Optional[Tensor], stride: int) -> Tensor:
     """A 1x1 convolution is one matmul over the pixels it samples.
 
-    Its padding is always zero, under "same" and "valid" alike, so there is
-    nothing to pad, no window to gather and no col2im in backward.
+    A same-padded 1x1 kernel pads nothing, so there is no window to gather
+    and no col2im in backward.
     """
     n, h, wd, c = x.shape
     c_out = w.shape[3]
@@ -403,13 +398,12 @@ def _conv2d_1x1(x: Tensor, w: Tensor, b: Optional[Tensor], stride: int) -> Tenso
 class RunningStats:
     """Exponential moving averages of per-channel mean and variance."""
 
-    def __init__(self, channels: int, momentum: float = 0.9, dtype=np.float32):
+    def __init__(self, channels: int, dtype=np.float32):
         self.mean = np.zeros(channels, dtype=dtype)
         self.var = np.ones(channels, dtype=dtype)
-        self.momentum = momentum
 
     def update(self, batch_mean: np.ndarray, batch_var: np.ndarray) -> None:
-        m = self.momentum
+        m = BN_MOMENTUM
         self.mean = m * self.mean + (1.0 - m) * batch_mean.astype(self.mean.dtype)
         self.var = m * self.var + (1.0 - m) * batch_var.astype(self.var.dtype)
 
@@ -418,16 +412,13 @@ class RunningStats:
         self.var = np.asarray(state["var"], dtype=self.var.dtype)
 
 
-def batch_norm(x, gamma, beta, stats: RunningStats, training: bool,
-               eps: float = 1e-5) -> Tensor:
-    """Normalize the trailing channel axis of [N,...,C] activations.
+def batch_norm(x, gamma, beta, stats: RunningStats) -> Tensor:
+    """Training batch norm over the trailing channel axis of [N,...,C]
+    activations (Ioffe & Szegedy, 2015).
 
-    Training mode normalizes with batch statistics (differentiated through,
-    so gradient checks see the exact Jacobian) and folds them into ``stats``.
-    Eval mode treats the running statistics as constants and folds them with
-    ``gamma`` and ``beta`` into one per-channel affine map ``x * scale + shift``
-    (Ioffe & Szegedy, 2015; see ``fold_batch_norm``), so gradients still
-    reach ``x``, ``gamma`` and ``beta`` under a tape.
+    Normalizes with the batch statistics, differentiated through so gradient
+    checks see the exact Jacobian, and folds them into ``stats``.  Eval mode
+    is ``fold_batch_norm``, applied by ``backbone.conv_bn``.
     """
     x = as_tensor(x)
     gamma, beta = as_tensor(gamma), as_tensor(beta)
@@ -437,31 +428,27 @@ def batch_norm(x, gamma, beta, stats: RunningStats, training: bool,
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(
             f"batch_norm scale/shift must both be [{c}], got {gamma.shape} and {beta.shape}")
-    if training:
-        if x.shape[0] < 2:
-            raise BatchSizeError(
-                f"batch_norm in training mode needs at least 2 samples, got {x.shape[0]}")
-        reduce_axes = tuple(range(x.ndim - 1))
-        m = reduce_mean(x, axis=reduce_axes)
-        centered = subtract(x, reshape(m, (1,) * (x.ndim - 1) + (c,)))
-        v = reduce_mean(square(centered), axis=reduce_axes)
-        stats.update(m.data, v.data)
-        inv = divide(1.0, sqrt(add(v, eps)))
-        normed = multiply(centered, reshape(inv, (1,) * (x.ndim - 1) + (c,)))
-        return add(multiply(normed, gamma), beta)
-    scale, shift = fold_batch_norm(gamma, beta, stats, x.dtype, eps)
-    return add(multiply(x, scale), shift)
+    if x.shape[0] < 2:
+        raise BatchSizeError(
+            f"batch_norm in training mode needs at least 2 samples, got {x.shape[0]}")
+    reduce_axes = tuple(range(x.ndim - 1))
+    m = reduce_mean(x, axis=reduce_axes)
+    centered = subtract(x, reshape(m, (1,) * (x.ndim - 1) + (c,)))
+    v = reduce_mean(square(centered), axis=reduce_axes)
+    stats.update(m.data, v.data)
+    inv = divide(1.0, sqrt(add(v, BN_EPS)))
+    normed = multiply(centered, reshape(inv, (1,) * (x.ndim - 1) + (c,)))
+    return add(multiply(normed, gamma), beta)
 
 
-def fold_batch_norm(gamma, beta, stats: RunningStats, dtype,
-                    eps: float = 1e-5) -> tuple[Tensor, Tensor]:
+def fold_batch_norm(gamma, beta, stats: RunningStats, dtype) -> tuple[Tensor, Tensor]:
     """Eval batch norm as the per-channel affine map ``x * scale + shift``.
 
     The running statistics are constants in ``dtype``; ``scale`` and
     ``shift`` are [C]-sized tape ops on ``gamma`` and ``beta``, so gradients
     reach them through whatever consumes the fold.
     """
-    inv = 1.0 / np.sqrt(stats.var.astype(dtype) + dtype.type(eps))
+    inv = 1.0 / np.sqrt(stats.var.astype(dtype) + dtype.type(BN_EPS))
     scale = multiply(gamma, inv)
     shift = subtract(beta, multiply(stats.mean.astype(dtype), scale))
     return scale, shift

@@ -30,24 +30,24 @@ EPS_NORM = 1e-12
 ROUTING_VARIANTS = ("modified", "original")
 
 
-def squash(s, axis: int = -1, eps: float = EPS_NORM) -> Tensor:
-    """Shrink vectors to length < 1 while preserving direction.
+def squash(s) -> Tensor:
+    """Shrink vectors along the last axis to length < 1, keeping direction.
 
     Maps s to (|s|^2 / (1 + |s|^2)) * s / |s|; the zero vector maps to
-    itself.  ``eps`` guards the norm division only, so short vectors scale
-    toward zero rather than blowing up.
+    itself.  ``EPS_NORM`` guards the norm division only, so short vectors
+    scale toward zero rather than blowing up.
     """
     s = as_tensor(s)
-    n2 = ops.reduce_sum(ops.square(s), axis=axis, keepdims=True)
-    scale = ops.divide(n2, ops.multiply(ops.add(n2, 1.0), ops.sqrt(ops.add(n2, eps))))
+    n2 = ops.reduce_sum(ops.square(s), axis=-1, keepdims=True)
+    scale = ops.divide(n2, ops.multiply(ops.add(n2, 1.0), ops.sqrt(ops.add(n2, EPS_NORM))))
     return ops.multiply(s, scale)
 
 
-def l2_normalize(u, axis: int = -1, eps: float = EPS_NORM) -> Tensor:
-    """Scale vectors to unit norm along ``axis``; zero vectors stay zero."""
+def l2_normalize(u) -> Tensor:
+    """Scale vectors along the last axis to unit norm; zero vectors stay zero."""
     u = as_tensor(u)
-    norm = ops.sqrt(ops.reduce_sum(ops.square(u), axis=axis, keepdims=True))
-    return ops.divide(u, ops.maximum(norm, eps))
+    norm = ops.sqrt(ops.reduce_sum(ops.square(u), axis=-1, keepdims=True))
+    return ops.divide(u, ops.maximum(norm, EPS_NORM))
 
 
 def fm_interaction(u_hat) -> Tensor:
@@ -86,17 +86,17 @@ def fm_interaction_reference(u_hat: np.ndarray) -> np.ndarray:
     return out / n
 
 
-def interaction_pose(h, eps: float = EPS_NORM) -> Tensor:
+def interaction_pose(h) -> Tensor:
     """Unit-norm direction of each interaction vector.
 
-    Rows whose norm falls below ``eps`` come out exactly zero, so every pose
-    has norm 1 or norm 0.  The cutoff mask is treated as a constant under
-    differentiation.
+    Rows whose norm falls below ``EPS_NORM`` come out exactly zero, so every
+    pose has norm 1 or norm 0.  The cutoff mask is treated as a constant
+    under differentiation.
     """
     h = as_tensor(h)
     norm = ops.sqrt(ops.reduce_sum(ops.square(h), axis=-1, keepdims=True))
-    mask = (norm.data >= eps).astype(h.dtype)
-    unit = ops.divide(h, ops.maximum(norm, eps))
+    mask = (norm.data >= EPS_NORM).astype(h.dtype)
+    unit = ops.divide(h, ops.maximum(norm, EPS_NORM))
     return ops.multiply(unit, Tensor(mask))
 
 
@@ -131,7 +131,7 @@ class RoutingResult:
     agreements: Tensor   # [J] or [B,J]
 
 
-def route(u_hat, variant: str = "modified", eps: float = EPS_NORM) -> RoutingResult:
+def route(u_hat, variant: str = "modified") -> RoutingResult:
     """Single-pass routing: normalize votes, interact, score classes.
 
     ``u_hat`` is [J, n, k] or [B, J, n, k].  Requires J >= 2 because class
@@ -148,12 +148,12 @@ def route(u_hat, variant: str = "modified", eps: float = EPS_NORM) -> RoutingRes
     if j < 2:
         raise ConfigError(f"routing needs at least 2 classes, got {j}")
 
-    normalized = l2_normalize(u_hat, axis=-1, eps=eps)
+    normalized = l2_normalize(u_hat)
     h = fm_interaction(normalized)
-    poses = interaction_pose(h, eps=eps)
+    poses = interaction_pose(h)
     b = agreement(h)
     if variant == "modified":
-        activations = ops.softmax(b, axis=-1)
+        activations = ops.softmax(b)
     else:
         activations = ops.exp(b)
     return RoutingResult(activations=activations, poses=poses, agreements=b)

@@ -30,8 +30,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         if 0 in arr.shape:
@@ -167,8 +167,8 @@ class GradientTape:
         return [grads.get(id(s), np.zeros_like(s.data)) for s in sources]
 
 
-def as_tensor(value, dtype=None) -> Tensor:
+def as_tensor(value) -> Tensor:
     """Wrap a python scalar, array, or Tensor into a constant Tensor."""
     if isinstance(value, Tensor):
         return value
-    return Tensor(value, dtype=dtype)
+    return Tensor(value)

@@ -80,9 +80,8 @@ class TrainState:
     history: list = field(default_factory=list)
 
 
-def init_train_state(model: CapsuleClassifier, config: TrainConfig,
-                     seed: Optional[int] = None) -> TrainState:
-    params, stats = model.init_params(config.seed if seed is None else seed)
+def init_train_state(model: CapsuleClassifier, config: TrainConfig) -> TrainState:
+    params, stats = model.init_params(config.seed)
     velocity = {k: np.zeros_like(t.data) for k, t in params.items()}
     return TrainState(params=params, stats=stats, velocity=velocity, epoch=0, config=config)
 
@@ -165,6 +164,11 @@ def train_epoch(model: CapsuleClassifier, state: TrainState,
 def evaluate(model: CapsuleClassifier, params: dict, stats: dict,
              x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> dict:
     """Eval-mode loss and accuracy over a dataset."""
+    n = x.shape[0]
+    if n == 0:
+        raise ShapeError("cannot evaluate an empty dataset")
+    if batch_size < 1:
+        raise ShapeError(f"evaluation batch_size must be >= 1, got {batch_size}")
     targets = one_hot(y, model.config.num_classes, dtype=model.np_dtype)
     loss_sum = 0.0
     hit_sum = 0.0
@@ -174,25 +178,22 @@ def evaluate(model: CapsuleClassifier, params: dict, stats: dict,
         b = batch.shape[0]
         loss_sum += loss.item() * b
         hit_sum += accuracy(out.probs, y[batch]) * b
-    n = x.shape[0]
     return {"loss": loss_sum / n, "accuracy": hit_sum / n}
 
 
 def fit(model: CapsuleClassifier, state: TrainState,
         train_data: tuple[np.ndarray, np.ndarray],
-        epochs: Optional[int] = None,
         eval_data: Optional[tuple[np.ndarray, np.ndarray]] = None,
         csv_path=None, verbose: bool = False) -> list[dict]:
-    """Run ``epochs`` training epochs (default: config), appending history.
+    """Run the config's ``epochs`` training epochs, appending history.
 
     When ``eval_data`` is given, each history row also gains val_loss /
     val_accuracy (these do not enter the history CSV, whose schema is
     fixed).  Returns the rows produced by this call.
     """
     x, y = train_data
-    total = state.config.epochs if epochs is None else epochs
     rows = []
-    for _ in range(total):
+    for _ in range(state.config.epochs):
         row = train_epoch(model, state, x, y)
         if eval_data is not None:
             val = evaluate(model, state.params, state.stats, eval_data[0], eval_data[1])

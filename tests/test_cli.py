@@ -120,3 +120,31 @@ def test_bad_model_config_is_clean_error(tmp_path, capsys, command, content):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "model-config" in err
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("cli") / "run"
+    assert main(["train", *FAST_DATA, *FAST_TRAIN, "--quiet", "--out", str(out_dir)]) == 0
+    return out_dir / "checkpoint"
+
+
+@pytest.mark.parametrize("command,flags,mention", [
+    ("eval", ["--batch-size", "-1"], "batch_size"),
+    ("eval", ["--batch-size", "0"], "batch_size"),
+    ("train", ["--test-samples", "0"], "--test-samples"),
+    ("train", ["--samples", "-3"], "--samples"),
+    ("gradcheck", ["--step", "0"], "step"),
+], ids=["eval_batch_negative", "eval_batch_zero", "train_no_test_samples",
+        "train_negative_samples", "gradcheck_zero_step"])
+def test_bad_size_or_step_is_clean_error(tmp_path, capsys, checkpoint, command, flags,
+                                         mention):
+    common = {"eval": [*FAST_DATA, "--checkpoint", str(checkpoint)],
+              "train": [*FAST_DATA, *FAST_TRAIN, "--quiet", "--out", str(tmp_path / "run")],
+              "gradcheck": ["--skip-model"]}[command]
+    capsys.readouterr()
+    code = main([command, *common, *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and mention in err
+    assert not (tmp_path / "run" / "checkpoint").exists()

@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from capsnet import (CapsuleClassifier, GradientTape, ModelConfig, Tensor,
                      cross_entropy_loss, one_hot)
 from capsnet import ops
+from capsnet.backbone import conv_bn
 from capsnet.errors import BatchSizeError, ShapeError
 from capsnet.gradcheck import finite_diff_check, toy_model_config
 
@@ -304,10 +305,10 @@ class TestReductionsAndShape:
 
     def test_softmax_rows_sum_to_one(self, rng):
         x = rng.standard_normal((5, 9)) * 3
-        y = ops.softmax(Tensor(x), axis=-1)
+        y = ops.softmax(Tensor(x))
         assert np.allclose(y.data.sum(-1), 1.0)
         # invariant to a constant shift per row
-        y2 = ops.softmax(Tensor(x + 100.0), axis=-1)
+        y2 = ops.softmax(Tensor(x + 100.0))
         assert np.allclose(y.data, y2.data)
 
 
@@ -360,20 +361,15 @@ class TestMatmulEinsum:
             ops.einsum2(pattern, a, b)
 
 
-def conv2d_loop_reference(x, w, stride, padding):
-    """Independent direct-summation convolution used to pin conv2d down."""
+def conv2d_loop_reference(x, w, stride):
+    """Independent direct-summation "same" convolution used to pin conv2d down."""
     n, h, wd, c = x.shape
     kh, kw, _, co = w.shape
-    if padding == "same":
-        ho = -(-h // stride)
-        wo = -(-wd // stride)
-        ph = max((ho - 1) * stride + kh - h, 0)
-        pw = max((wo - 1) * stride + kw - wd, 0)
-        xp = np.pad(x, ((0, 0), (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2), (0, 0)))
-    else:
-        ho = (h - kh) // stride + 1
-        wo = (wd - kw) // stride + 1
-        xp = x
+    ho = -(-h // stride)
+    wo = -(-wd // stride)
+    ph = max((ho - 1) * stride + kh - h, 0)
+    pw = max((wo - 1) * stride + kw - wd, 0)
+    xp = np.pad(x, ((0, 0), (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2), (0, 0)))
     out = np.zeros((n, ho, wo, co))
     for b in range(n):
         for i in range(ho):
@@ -384,24 +380,23 @@ def conv2d_loop_reference(x, w, stride, padding):
     return out
 
 
+# conv2d always pads "same"; the case ids below still name it.
 class TestConv2d:
-    @pytest.mark.parametrize("stride,padding,hw", [
-        (1, "same", (5, 5)), (2, "same", (5, 7)), (2, "same", (8, 8)),
-        (1, "valid", (6, 4)), (3, "valid", (9, 9)),
-    ])
-    def test_matches_loop_reference(self, rng, stride, padding, hw):
+    @pytest.mark.parametrize("stride,hw", [(1, (5, 5)), (2, (5, 7)), (2, (8, 8))],
+                             ids=["1-same-hw0", "2-same-hw1", "2-same-hw2"])
+    def test_matches_loop_reference(self, rng, stride, hw):
         x = rng.standard_normal((2, hw[0], hw[1], 3))
         w = rng.standard_normal((3, 3, 3, 4))
-        out = ops.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
-        ref = conv2d_loop_reference(x, w, stride, padding)
+        out = ops.conv2d(Tensor(x), Tensor(w), stride=stride)
+        ref = conv2d_loop_reference(x, w, stride)
         assert out.shape == ref.shape
         assert np.allclose(out.data, ref, atol=1e-12)
 
     def test_same_output_size_rule(self, rng):
         x = Tensor(rng.standard_normal((1, 7, 7, 1)))
         w = Tensor(rng.standard_normal((3, 3, 1, 1)))
-        assert ops.conv2d(x, w, stride=2, padding="same").shape == (1, 4, 4, 1)
-        assert ops.conv2d(x, w, stride=1, padding="same").shape == (1, 7, 7, 1)
+        assert ops.conv2d(x, w, stride=2).shape == (1, 4, 4, 1)
+        assert ops.conv2d(x, w, stride=1).shape == (1, 7, 7, 1)
 
     def test_shape_errors(self, rng):
         x = Tensor(rng.standard_normal((1, 5, 5, 2)))
@@ -409,11 +404,6 @@ class TestConv2d:
             ops.conv2d(x, Tensor(rng.standard_normal((3, 3, 3, 4))))  # channel mismatch
         with pytest.raises(ShapeError):
             ops.conv2d(x, Tensor(rng.standard_normal((3, 3, 2, 4))), stride=0)
-        with pytest.raises(ShapeError):
-            ops.conv2d(x, Tensor(rng.standard_normal((3, 3, 2, 4))), padding="full")
-        with pytest.raises(ShapeError):
-            ops.conv2d(Tensor(rng.standard_normal((1, 2, 2, 2))),
-                       Tensor(rng.standard_normal((3, 3, 2, 1))), padding="valid")
 
     def test_gradient_against_loop_reference(self, rng):
         # numeric check of conv gradients against the loop oracle via FD
@@ -423,12 +413,12 @@ class TestConv2d:
         proj = rng.standard_normal((1, 2, 2, 2))
         with GradientTape() as tape:
             y = ops.reduce_sum(ops.multiply(
-                ops.conv2d(tx, tw, stride=2, padding="same"), Tensor(proj)))
+                ops.conv2d(tx, tw, stride=2), Tensor(proj)))
         gx, gw = tape.gradient(y, [tx, tw])
         h = 1e-6
 
         def f(xa, wa):
-            return np.sum(conv2d_loop_reference(xa, wa, 2, "same") * proj)
+            return np.sum(conv2d_loop_reference(xa, wa, 2) * proj)
 
         for _ in range(5):
             i = tuple(rng.integers(0, s) for s in x.shape)
@@ -442,34 +432,32 @@ class TestConv2d:
             wm_[j] -= h
             assert abs((f(x, wp_) - f(x, wm_)) / (2 * h) - gw[j]) < 1e-6
 
-    @pytest.mark.parametrize("padding", ["same", "valid"])
-    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2, 3], ids=lambda s: f"{s}-same")
     @pytest.mark.parametrize("hw", [(7, 9), (8, 6)])
-    def test_backward_is_adjoint_of_loop_reference(self, rng, stride, padding, hw):
+    def test_backward_is_adjoint_of_loop_reference(self, rng, stride, hw):
         # conv is linear in x and in w, so <conv(x, w), g> = <x, vjp_x(g)>
         # = <w, vjp_w(g)> for every cotangent g
         x = rng.standard_normal((2, hw[0], hw[1], 3))
         w = rng.standard_normal((3, 3, 3, 5))
-        ref = conv2d_loop_reference(x, w, stride, padding)
+        ref = conv2d_loop_reference(x, w, stride)
         g = rng.standard_normal(ref.shape)
         tx, tw = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
         with GradientTape() as tape:
             y = ops.reduce_sum(ops.multiply(
-                ops.conv2d(tx, tw, stride=stride, padding=padding), Tensor(g)))
+                ops.conv2d(tx, tw, stride=stride), Tensor(g)))
         gx, gw = tape.gradient(y, [tx, tw])
         forward = np.sum(ref * g)
         for arg, grad in ((x, gx), (w, gw)):
             assert grad.shape == arg.shape
             assert abs(np.sum(arg * grad) - forward) <= 1e-12 * abs(forward)
 
-    @pytest.mark.parametrize("padding", ["same", "valid"])
-    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2, 3], ids=lambda s: f"{s}-same")
     @pytest.mark.parametrize("hw", [(5, 7), (6, 8)])
-    def test_1x1_matches_loop_reference(self, rng, stride, padding, hw):
+    def test_1x1_matches_loop_reference(self, rng, stride, hw):
         x = rng.standard_normal((2, hw[0], hw[1], 3))
         w = rng.standard_normal((1, 1, 3, 4))
-        out = ops.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
-        ref = conv2d_loop_reference(x, w, stride, padding)
+        out = ops.conv2d(Tensor(x), Tensor(w), stride=stride)
+        ref = conv2d_loop_reference(x, w, stride)
         assert out.shape == ref.shape
         assert np.max(np.abs(out.data - ref)) <= 1e-12
 
@@ -480,7 +468,7 @@ class TestConv2d:
         proj = Tensor(rng.standard_normal((2, 3, 3, 4)))
         result = finite_diff_check(
             "conv2d_1x1", lambda: ops.reduce_sum(ops.multiply(
-                ops.conv2d(x, w, stride=2, padding="same"), proj)),
+                ops.conv2d(x, w, stride=2), proj)),
             {"x": x, "w": w}, tol=1e-6)
         assert result.coords == x.size + w.size
         assert result.passed, result.line()
@@ -492,7 +480,7 @@ class TestConv2d:
         w = rng.standard_normal((k, k, 3, 4))
         b = rng.standard_normal(4)
         out = ops.conv2d(Tensor(x), Tensor(w), stride=2, bias=Tensor(b))
-        ref = conv2d_loop_reference(x, w, 2, "same") + b
+        ref = conv2d_loop_reference(x, w, 2) + b
         assert np.max(np.abs(out.data - ref)) <= 1e-12
 
     @pytest.mark.parametrize("k", [1, 3])
@@ -515,31 +503,29 @@ class TestConv2d:
                 ops.conv2d(x, Tensor(rng.standard_normal((k, k, 2, 4))),
                            bias=Tensor(np.zeros(3)))
 
-    @pytest.mark.parametrize("n,chunk,stride,padding", [
-        (7, 3, 1, "same"),    # the batch is not a multiple of the chunk
-        (2, 5, 1, "same"),    # the batch is smaller than one chunk
-        (5, 2, 2, "same"),
-        (5, 2, 1, "valid"),
-    ])
-    def test_streamed_forward_matches_full_buffer(self, rng, monkeypatch, n, chunk,
-                                                  stride, padding):
+    @pytest.mark.parametrize("n,chunk,stride", [
+        (7, 3, 1),    # the batch is not a multiple of the chunk
+        (2, 5, 1),    # the batch is smaller than one chunk
+        (5, 2, 2),
+    ], ids=["7-3-1-same", "2-5-1-same", "5-2-2-same"])
+    def test_streamed_forward_matches_full_buffer(self, rng, monkeypatch, n, chunk, stride):
         x = rng.standard_normal((n, 7, 6, 3))
         w = rng.standard_normal((3, 3, 3, 4))
         b = rng.standard_normal(4)
-        ho, wo = ops._conv_geometry(7, 6, 3, 3, stride, padding)[:2]
+        ho, wo = ops._conv_geometry(7, 6, 3, 3, stride)[:2]
         monkeypatch.setattr(ops, "_IM2COL_BUDGET", chunk * ho * wo * 27 * x.itemsize)
         gathers = []
         window_view = ops.sliding_window_view
         monkeypatch.setattr(ops, "sliding_window_view",
                             lambda *a, **k: gathers.append(1) or window_view(*a, **k))
-        streamed = ops.conv2d(Tensor(x), Tensor(w), stride, padding, bias=Tensor(b)).data
+        streamed = ops.conv2d(Tensor(x), Tensor(w), stride, bias=Tensor(b)).data
         assert len(gathers) == -(-n // chunk)
         with GradientTape():  # tracked: one chunk of the whole batch
-            full = ops.conv2d(Tensor(x, requires_grad=True), Tensor(w), stride, padding,
+            full = ops.conv2d(Tensor(x, requires_grad=True), Tensor(w), stride,
                               bias=Tensor(b)).data
         assert len(gathers) == -(-n // chunk) + 1
         assert np.max(np.abs(streamed - full)) <= 1e-12
-        ref = conv2d_loop_reference(x, w, stride, padding) + b
+        ref = conv2d_loop_reference(x, w, stride) + b
         assert np.max(np.abs(streamed - ref)) <= 1e-12
 
     def test_untracked_3x3_peak_memory_is_bounded(self):
@@ -572,8 +558,7 @@ class TestPoolAndBatchNorm:
     def test_batch_norm_normalizes_in_training(self, rng):
         x = rng.standard_normal((16, 3, 3, 4)) * 3 + 2
         stats = ops.RunningStats(4, dtype=np.float64)
-        out = ops.batch_norm(Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)),
-                             stats, training=True)
+        out = ops.batch_norm(Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)), stats)
         flat = out.data.reshape(-1, 4)
         assert np.allclose(flat.mean(0), 0.0, atol=1e-10)
         assert np.allclose(flat.std(0), 1.0, atol=1e-3)
@@ -581,67 +566,33 @@ class TestPoolAndBatchNorm:
     def test_batch_norm_updates_running_stats(self, rng):
         x = rng.standard_normal((8, 4)) + 5
         stats = ops.RunningStats(4, dtype=np.float64)
-        ops.batch_norm(Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)),
-                       stats, training=True)
+        ops.batch_norm(Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)), stats)
         expected_mean = 0.9 * 0.0 + 0.1 * x.mean(0)
         assert np.allclose(stats.mean, expected_mean)
-
-    def test_batch_norm_eval_uses_running_stats(self, rng):
-        x = rng.standard_normal((4, 4))
-        stats = ops.RunningStats(4, dtype=np.float64)
-        stats.load({"mean": np.full(4, 2.0), "var": np.full(4, 4.0)})
-        out = ops.batch_norm(Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)),
-                             stats, training=False)
-        assert np.allclose(out.data, (x - 2.0) / np.sqrt(4.0 + 1e-5))
-
-    @staticmethod
-    def _eval_case(rng):
-        x = rng.standard_normal((3, 4, 5, 6)) * 2.0 + 0.5
-        gamma = rng.uniform(0.5, 2.0, 6)
-        beta = rng.standard_normal(6)
-        stats = ops.RunningStats(6, dtype=np.float64)
-        stats.load({"mean": rng.standard_normal(6), "var": rng.uniform(0.2, 3.0, 6)})
-        return x, gamma, beta, stats
-
-    def test_batch_norm_eval_matches_affine_oracle(self, rng):
-        x, gamma, beta, stats = self._eval_case(rng)
-        out = ops.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), stats, training=False)
-        ref = (x - stats.mean) / np.sqrt(stats.var + 1e-5) * gamma + beta
-        assert np.max(np.abs(out.data - ref)) <= 1e-12
-
-    def test_batch_norm_eval_gradient_finite_difference(self, rng):
-        x, gamma, beta, stats = self._eval_case(rng)
-        tx = Tensor(x, requires_grad=True)
-        tg = Tensor(gamma, requires_grad=True)
-        tb = Tensor(beta, requires_grad=True)
-        proj = Tensor(rng.standard_normal(x.shape))
-        result = finite_diff_check(
-            "batch_norm_eval", lambda: ops.reduce_sum(ops.multiply(
-                ops.batch_norm(tx, tg, tb, stats, training=False), proj)),
-            {"x": tx, "gamma": tg, "beta": tb}, tol=1e-6)
-        assert result.coords == x.size + 12
-        assert result.passed, result.line()
 
     def test_batch_norm_rejects_tiny_training_batch(self):
         stats = ops.RunningStats(3, dtype=np.float64)
         with pytest.raises(BatchSizeError):
             ops.batch_norm(Tensor(np.ones((1, 3))), Tensor(np.ones(3)),
-                           Tensor(np.zeros(3)), stats, training=True)
-        # eval mode has no batch-size requirement
-        ops.batch_norm(Tensor(np.ones((1, 3))), Tensor(np.ones(3)),
-                       Tensor(np.zeros(3)), stats, training=False)
+                           Tensor(np.zeros(3)), stats)
+        # eval batch norm, the fold of conv_bn, has no batch-size requirement
+        params = {"c.w": Tensor(np.ones((3, 3, 3, 3))), "bn.gamma": Tensor(np.ones(3)),
+                  "bn.beta": Tensor(np.zeros(3))}
+        out = conv_bn(params, {"bn": stats}, "c", "bn", Tensor(np.ones((1, 3, 3, 3))), 1,
+                      training=False)
+        assert out.shape == (1, 3, 3, 3)
 
     def test_batch_norm_shape_errors(self):
         stats = ops.RunningStats(3, dtype=np.float64)
         with pytest.raises(ShapeError):
             ops.batch_norm(Tensor(np.ones((4, 3))), Tensor(np.ones(2)),
-                           Tensor(np.zeros(3)), stats, training=True)
+                           Tensor(np.zeros(3)), stats)
 
 
 @settings(max_examples=40, deadline=None)
 @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 6)),
               elements=st.floats(-50, 50, allow_nan=False)))
 def test_softmax_is_always_a_distribution(x):
-    y = ops.softmax(Tensor(x), axis=-1).data
+    y = ops.softmax(Tensor(x)).data
     assert np.all(y > 0)
     assert np.allclose(y.sum(-1), 1.0, atol=1e-12)
