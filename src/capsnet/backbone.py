@@ -53,6 +53,16 @@ def _init_bn(params: dict, stats: dict, name: str, c: int, dtype) -> None:
     stats[name] = RunningStats(c, dtype=dtype)
 
 
+def init_se(rng, params: dict, name: str, c: int, dtype) -> None:
+    """Squeeze-excite weights for ``c`` channels: ``w1`` [c, c/r] and
+    ``w2`` [c/r, c], HeNormal, with zero biases; r = ``default_se_ratio(c)``."""
+    hidden = c // default_se_ratio(c)
+    params[name + ".w1"] = Tensor(he_normal(rng, (c, hidden), dtype=dtype), requires_grad=True)
+    params[name + ".b1"] = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
+    params[name + ".w2"] = Tensor(he_normal(rng, (hidden, c), dtype=dtype), requires_grad=True)
+    params[name + ".b2"] = Tensor(np.zeros(c, dtype=dtype), requires_grad=True)
+
+
 def conv_bn(params: dict, stats: dict, conv: str, bn: str, x, stride: int,
             training: bool):
     """Same-padded conv ``conv`` followed by batch norm ``bn``.
@@ -117,13 +127,7 @@ class Bottleneck:
         _init_conv(rng, params, f"{p}.conv3", 1, 1, c2, c3, dtype)
         _init_bn(params, stats, f"{p}.bn3", c3, dtype)
         if self.use_se:
-            hidden = c3 // default_se_ratio(c3)
-            params[f"{p}.se.w1"] = Tensor(
-                he_normal(rng, (c3, hidden), dtype=dtype), requires_grad=True)
-            params[f"{p}.se.b1"] = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
-            params[f"{p}.se.w2"] = Tensor(
-                he_normal(rng, (hidden, c3), dtype=dtype), requires_grad=True)
-            params[f"{p}.se.b2"] = Tensor(np.zeros(c3, dtype=dtype), requires_grad=True)
+            init_se(rng, params, f"{p}.se", c3, dtype)
         _init_conv(rng, params, f"{p}.proj", 1, 1, self.in_channels, c3, dtype)
         _init_bn(params, stats, f"{p}.projbn", c3, dtype)
 

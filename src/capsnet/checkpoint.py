@@ -18,7 +18,7 @@ from typing import Union
 import numpy as np
 
 from .config import ModelConfig, TrainConfig
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .ops import RunningStats
 from .tensor import Tensor
 from .training import TrainState
@@ -28,6 +28,11 @@ MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "params.bin"
 
 _ALLOWED_DTYPES = ("<f4", "<f8")
+
+
+def _is_count(value) -> bool:
+    """A JSON integer >= 0 (``true`` is not one)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _entries(state: TrainState):
@@ -100,9 +105,11 @@ def load_checkpoint(path) -> tuple[ModelConfig, TrainState]:
         raise CheckpointError(f"{path} is not a checkpoint directory "
                               f"(needs {MANIFEST_NAME} and {BLOB_NAME})")
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as e:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as e:  # not UTF-8, or not JSON
         raise CheckpointError(f"{manifest_path}: invalid JSON: {e}") from e
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{manifest_path}: must hold a JSON object")
     for key in ("format_version", "epoch", "model_config", "train_config",
                 "tensors", "blob_bytes", "blob_sha256"):
         if key not in manifest:
@@ -117,24 +124,41 @@ def load_checkpoint(path) -> tuple[ModelConfig, TrainState]:
     digest = hashlib.sha256(blob).hexdigest()
     if digest != manifest["blob_sha256"]:
         raise CheckpointError(f"{blob_path}: SHA-256 mismatch (file {digest[:12]}..., "
-                              f"manifest {manifest['blob_sha256'][:12]}...)")
+                              f"manifest {str(manifest['blob_sha256'])[:12]}...)")
 
-    model_config = ModelConfig.from_dict(manifest["model_config"])
-    train_config = TrainConfig.from_dict(manifest["train_config"])
+    if not _is_count(manifest["epoch"]):
+        raise CheckpointError(f"{manifest_path}: epoch must be an integer >= 0, "
+                              f"got {manifest['epoch']!r}")
+    try:
+        model_config = ModelConfig.from_dict(manifest["model_config"])
+        train_config = TrainConfig.from_dict(manifest["train_config"])
+    except ConfigError:
+        raise
+    except (AttributeError, TypeError, ValueError) as e:  # not a dict, or a mistyped field
+        raise CheckpointError(f"{manifest_path}: malformed config: {e}") from e
+    if not isinstance(manifest["tensors"], list):
+        raise CheckpointError(f"{manifest_path}: tensors must be a list")
 
     params: dict[str, Tensor] = {}
     means: dict[str, np.ndarray] = {}
     variances: dict[str, np.ndarray] = {}
     velocity: dict[str, np.ndarray] = {}
     for entry in manifest["tensors"]:
+        if not isinstance(entry, dict):
+            raise CheckpointError(f"tensor entry must be an object: {entry!r}")
         for key in ("name", "section", "shape", "dtype", "offset", "nbytes"):
             if key not in entry:
                 raise CheckpointError(f"tensor entry missing key {key!r}: {entry}")
+        if not (isinstance(entry["name"], str) and isinstance(entry["shape"], list)
+                and all(_is_count(v) for v in [*entry["shape"], entry["offset"],
+                                               entry["nbytes"]])):
+            raise CheckpointError("tensor entry needs a string name and integers >= 0 "
+                                  f"for shape, offset and nbytes: {entry}")
         if entry["dtype"] not in _ALLOWED_DTYPES:
             raise CheckpointError(f"tensor {entry['name']!r} has unsupported dtype "
                                   f"{entry['dtype']!r} (need one of {_ALLOWED_DTYPES})")
         start, nbytes = entry["offset"], entry["nbytes"]
-        if start < 0 or start + nbytes > len(blob):
+        if start + nbytes > len(blob):
             raise CheckpointError(f"tensor {entry['name']!r} extends past the blob")
         dtype = np.dtype(entry["dtype"])
         count = nbytes // dtype.itemsize
@@ -158,6 +182,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, TrainState]:
         raise CheckpointError("batch-norm mean/var entries do not pair up")
     stats: dict[str, RunningStats] = {}
     for name, mean in means.items():
+        if mean.ndim != 1 or variances[name].shape != mean.shape:
+            raise CheckpointError(f"batch-norm stats {name!r} must be two equal 1-D arrays")
         rs = RunningStats(mean.shape[0], dtype=mean.dtype)
         rs.load({"mean": mean, "var": variances[name]})
         stats[name] = rs
@@ -165,5 +191,5 @@ def load_checkpoint(path) -> tuple[ModelConfig, TrainState]:
         raise CheckpointError("velocity entries do not match parameter entries")
 
     state = TrainState(params=params, stats=stats, velocity=velocity,
-                       epoch=int(manifest["epoch"]), config=train_config)
+                       epoch=manifest["epoch"], config=train_config)
     return model_config, state

@@ -14,11 +14,22 @@ from .routing import ROUTING_VARIANTS
 
 DTYPES = ("float32", "float64")
 
-# Fields that earlier versions of ModelConfig had, with their defaults.  A
+# Fields that earlier versions of the configs had, with their defaults.  A
 # saved config that holds one at that default still loads; any other value
-# names a model this version cannot build.
-_REMOVED_FIELDS = {"stage_widths": None, "primary_caps_channels": None,
-                   "se_ratio": None, "wide_plan": "quarter_half"}
+# names a setting this version does not have.
+_REMOVED_MODEL_FIELDS = {"stage_widths": None, "primary_caps_channels": None,
+                         "se_ratio": None, "wide_plan": "quarter_half"}
+_REMOVED_TRAIN_FIELDS = {"shuffle": True}
+
+
+def _from_dict(cls, d: dict, removed: dict, kind: str):
+    """Build ``cls`` from a saved dict, dropping removed fields that hold
+    their old default; any other key the dataclass lacks is an error."""
+    d = {k: v for k, v in d.items() if not (k in removed and v == removed[k])}
+    unknown = set(d) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown {kind} config keys: {sorted(unknown)}")
+    return cls(**d)
 
 
 @dataclass
@@ -78,13 +89,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = {k: v for k, v in d.items()
-             if not (k in _REMOVED_FIELDS and v == _REMOVED_FIELDS[k])}
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(**d)
+        return _from_dict(cls, d, _REMOVED_MODEL_FIELDS, "model")
 
 
 @dataclass
@@ -99,7 +104,6 @@ class TrainConfig:
     drop_rate: float = 0.5
     epoch_drop: int = 60
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -122,8 +126,4 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        return cls(**d)
+        return _from_dict(cls, d, _REMOVED_TRAIN_FIELDS, "train")

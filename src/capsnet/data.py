@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import ConfigError, DataFormatError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -150,6 +150,15 @@ def normalize_images(images: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # synthetic datasets
 
+def _check_synthetic(num_classes: int, image_size: int, channels: int, noise: float) -> None:
+    for name, value in (("num_classes", num_classes), ("image_size", image_size),
+                        ("channels", channels)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
+    if not noise >= 0:
+        raise ConfigError(f"noise must be >= 0, got {noise}")
+
+
 def make_blobs(n: int, num_classes: int = 4, image_size: int = 16,
                channels: int = 1, noise: float = 0.05,
                seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -159,6 +168,7 @@ def make_blobs(n: int, num_classes: int = 4, image_size: int = 16,
     sample jitters its anchor slightly and adds pixel noise.  Returns
     float32 images in roughly [0, 1] and int64 labels, class-balanced.
     """
+    _check_synthetic(num_classes, image_size, channels, noise)
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % num_classes
     rng.shuffle(labels)
@@ -187,6 +197,7 @@ def make_bars(n: int, num_classes: int = 4, image_size: int = 16,
               seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Axis-aligned bright bars; the first half of the classes are vertical
     bars at distinct columns, the rest horizontal bars at distinct rows."""
+    _check_synthetic(num_classes, image_size, channels, noise)
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % num_classes
     rng.shuffle(labels)

@@ -5,11 +5,18 @@ tape's analytic gradient, in float64, scored by relative error
 |a - n| / max(|a|, |n|, 1e-8).  Small tensors are checked coordinate by
 coordinate; the whole-model check samples a few coordinates per parameter
 tensor to stay fast while touching every layer type.
+
+To add a rung, append one row to ``RUNGS``, last: its inputs come from
+``default_rng([seed, i])`` and the projection of its output k from
+``default_rng([seed, 100 + i + k])``, where i is the row's index, so a row
+appended last leaves every older rung's draws and results as they were.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import attrgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -106,6 +113,22 @@ def _t(rng, *shape, scale: float = 1.0) -> Tensor:
     return Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
 
 
+def _t_uniform(rng, low: float, high: float, n: int) -> Tensor:
+    return Tensor(rng.uniform(low, high, n), requires_grad=True)
+
+
+def _distribution(rng, rows: int, cols: int) -> Tensor:
+    raw = rng.uniform(0.05, 1.0, (rows, cols))
+    return Tensor(raw / raw.sum(axis=-1, keepdims=True), requires_grad=True)
+
+
+def _bn_stats(rng, c: int) -> dict:
+    """Running statistics away from their initial values, as after training."""
+    stats = ops.RunningStats(c, dtype=np.float64)
+    stats.load({"mean": rng.standard_normal(c) * 0.2, "var": rng.uniform(0.5, 1.5, c)})
+    return {"bn": stats}
+
+
 def toy_model_config() -> ModelConfig:
     """Smallest config that still exercises every layer type."""
     return ModelConfig(
@@ -115,163 +138,71 @@ def toy_model_config() -> ModelConfig:
         dtype="float64")
 
 
+# The op rungs, in ladder order: (name, draw, forward).  ``draw(rng)`` returns
+# the rung's inputs by keyword, sources first (requires_grad tensors), then
+# any constants; ``forward(**inputs)`` returns one output tensor or a tuple.
+RUNGS = (
+    ("conv2d", lambda r: dict(x=_t(r, 2, 5, 5, 3), w=_t(r, 3, 3, 3, 4, scale=0.5)),
+     lambda x, w: ops.conv2d(x, w, stride=2)),
+    ("batch_norm", lambda r: dict(x=_t(r, 4, 3, 3, 5), gamma=_t_uniform(r, 0.5, 1.5, 5),
+                                  beta=_t(r, 5, scale=0.2)),
+     lambda x, gamma, beta: ops.batch_norm(x, gamma, beta,
+                                           ops.RunningStats(5, dtype=np.float64))),
+    ("matmul", lambda r: dict(a=_t(r, 4, 6), b=_t(r, 6, 3)), ops.matmul),
+    ("softmax", lambda r: dict(x=_t(r, 5, 7)), ops.softmax),
+    ("squash", lambda r: dict(s=_t(r, 6, 8)), squash),
+    ("l2_normalize", lambda r: dict(u=_t(r, 6, 8)), l2_normalize),
+    ("fm_interaction", lambda r: dict(u_hat=_t(r, 3, 5, 4)), fm_interaction),
+    ("se_block", lambda r: dict(x=_t(r, 2, 4, 4, 6), w1=_t(r, 6, 3, scale=0.7),
+                                b1=_t(r, 3, scale=0.3), w2=_t(r, 3, 6, scale=0.7),
+                                b2=_t(r, 6, scale=0.3)),
+     se_block),
+    ("attention_capsules", lambda r: dict(poses=_t(r, 2, 4, 6), agreements=_t(r, 2, 4),
+                                          w1=_t(r, 4, 2, scale=0.7), b1=_t(r, 2, scale=0.3),
+                                          w2=_t(r, 2, 4, scale=0.7), b2=_t(r, 4, scale=0.3)),
+     lambda **k: attrgetter("activations", "poses")(attention_capsules(**k))),
+    ("cross_entropy_loss", lambda r: dict(probs=_distribution(r, 4, 5),
+                                          targets=np.eye(5)[r.integers(0, 5, 4)]),
+     cross_entropy_loss),
+    ("conv2d_1x1", lambda r: dict(x=_t(r, 2, 5, 5, 3), w=_t(r, 1, 1, 3, 4, scale=0.5)),
+     lambda x, w: ops.conv2d(x, w, stride=2)),
+    # An eval conv_bn: a 3x3 conv of the folded kernel, the folded shift as
+    # its bias.
+    ("conv2d_bias", lambda r: {"x": _t(r, 2, 4, 4, 2), "conv.w": _t(r, 3, 3, 2, 3, scale=0.5),
+                               "bn.gamma": _t_uniform(r, 0.5, 1.5, 3),
+                               "bn.beta": _t(r, 3, scale=0.2), "stats": _bn_stats(r, 3)},
+     lambda x, stats, **params: conv_bn(params, stats, "conv", "bn", x, 1, training=False)),
+    ("capsule_votes", lambda r: dict(w=_t(r, 3, 4, 2, 3), u=_t(r, 2, 4, 2)), ops.capsule_votes),
+)
+
+
+def _rung_loss(forward, inputs: dict, seed: int, i: int) -> Callable[[], Tensor]:
+    """The scalar rung ``i`` checks.  A 0-d output is the loss itself;
+    otherwise the loss is the sum over outputs k of <out_k, proj_k>, with
+    proj_k standard normal from ``default_rng([seed, 100 + i + k])``."""
+    def outputs():
+        out = forward(**inputs)
+        return out if isinstance(out, tuple) else (out,)
+
+    first = outputs()
+    if first[0].ndim == 0:
+        return lambda: outputs()[0]
+    projs = [Tensor(np.random.default_rng([seed, 100 + i + k]).standard_normal(o.shape))
+             for k, o in enumerate(first)]
+    return lambda: reduce(ops.add, [ops.reduce_sum(ops.multiply(o, p))
+                                    for o, p in zip(outputs(), projs)])
+
+
 def standard_checks(h: float = DEFAULT_STEP, tol: float = DEFAULT_TOL,
                     seed: int = 0, include_model: bool = True) -> list[CheckResult]:
-    """The fixed verification ladder: one check per differentiable op,
-    then the assembled model end to end."""
+    """The fixed verification ladder: each of ``RUNGS``, its inputs drawn
+    from ``default_rng([seed, i])``, then the assembled model end to end."""
     results = []
-
-    def check(name, builder, **kwargs):
-        rng = np.random.default_rng([seed, len(results)])
-        build_loss, sources = builder(rng)
-        results.append(finite_diff_check(name, build_loss, sources,
-                                         h=h, tol=tol, rng=rng, **kwargs))
-
-    def conv2d_case(rng):
-        x = _t(rng, 2, 5, 5, 3)
-        w = _t(rng, 3, 3, 3, 4, scale=0.5)
-        proj = np.random.default_rng([seed, 100]).standard_normal((2, 3, 3, 4))
-
-        def loss():
-            out = ops.conv2d(x, w, stride=2)
-            return ops.reduce_sum(ops.multiply(out, Tensor(proj)))
-        return loss, {"x": x, "w": w}
-
-    def batch_norm_case(rng):
-        x = _t(rng, 4, 3, 3, 5)
-        gamma = Tensor(rng.uniform(0.5, 1.5, 5), requires_grad=True)
-        beta = _t(rng, 5, scale=0.2)
-        proj = np.random.default_rng([seed, 101]).standard_normal((4, 3, 3, 5))
-
-        def loss():
-            stats = ops.RunningStats(5, dtype=np.float64)
-            out = ops.batch_norm(x, gamma, beta, stats)
-            return ops.reduce_sum(ops.multiply(out, Tensor(proj)))
-        return loss, {"x": x, "gamma": gamma, "beta": beta}
-
-    def matmul_case(rng):
-        a = _t(rng, 4, 6)
-        b = _t(rng, 6, 3)
-        proj = np.random.default_rng([seed, 102]).standard_normal((4, 3))
-
-        def loss():
-            return ops.reduce_sum(ops.multiply(ops.matmul(a, b), Tensor(proj)))
-        return loss, {"a": a, "b": b}
-
-    def softmax_case(rng):
-        x = _t(rng, 5, 7)
-        proj = np.random.default_rng([seed, 103]).standard_normal((5, 7))
-
-        def loss():
-            return ops.reduce_sum(ops.multiply(ops.softmax(x), Tensor(proj)))
-        return loss, {"x": x}
-
-    def squash_case(rng):
-        s = _t(rng, 6, 8)
-        proj = np.random.default_rng([seed, 104]).standard_normal((6, 8))
-
-        def loss():
-            return ops.reduce_sum(ops.multiply(squash(s), Tensor(proj)))
-        return loss, {"s": s}
-
-    def l2_normalize_case(rng):
-        u = _t(rng, 6, 8)
-        proj = np.random.default_rng([seed, 105]).standard_normal((6, 8))
-
-        def loss():
-            return ops.reduce_sum(ops.multiply(l2_normalize(u), Tensor(proj)))
-        return loss, {"u": u}
-
-    def fm_interaction_case(rng):
-        u = _t(rng, 3, 5, 4)
-        proj = np.random.default_rng([seed, 106]).standard_normal((3, 4))
-
-        def loss():
-            return ops.reduce_sum(ops.multiply(fm_interaction(u), Tensor(proj)))
-        return loss, {"u_hat": u}
-
-    def se_block_case(rng):
-        x = _t(rng, 2, 4, 4, 6)
-        w1 = _t(rng, 6, 3, scale=0.7)
-        b1 = _t(rng, 3, scale=0.3)
-        w2 = _t(rng, 3, 6, scale=0.7)
-        b2 = _t(rng, 6, scale=0.3)
-        proj = np.random.default_rng([seed, 107]).standard_normal((2, 4, 4, 6))
-
-        def loss():
-            out = se_block(x, w1, b1, w2, b2)
-            return ops.reduce_sum(ops.multiply(out, Tensor(proj)))
-        return loss, {"x": x, "w1": w1, "b1": b1, "w2": w2, "b2": b2}
-
-    def attention_case(rng):
-        poses = _t(rng, 2, 4, 6)
-        agree = _t(rng, 2, 4)
-        w1 = _t(rng, 4, 2, scale=0.7)
-        b1 = _t(rng, 2, scale=0.3)
-        w2 = _t(rng, 2, 4, scale=0.7)
-        b2 = _t(rng, 4, scale=0.3)
-        proj_a = np.random.default_rng([seed, 108]).standard_normal((2, 4))
-        proj_p = np.random.default_rng([seed, 109]).standard_normal((2, 4, 6))
-
-        def loss():
-            res = attention_capsules(poses, agree, w1, b1, w2, b2)
-            la = ops.reduce_sum(ops.multiply(res.activations, Tensor(proj_a)))
-            lp = ops.reduce_sum(ops.multiply(res.poses, Tensor(proj_p)))
-            return ops.add(la, lp)
-        return loss, {"poses": poses, "agreements": agree,
-                      "w1": w1, "b1": b1, "w2": w2, "b2": b2}
-
-    def cross_entropy_case(rng):
-        raw = rng.uniform(0.05, 1.0, (4, 5))
-        probs = Tensor(raw / raw.sum(axis=-1, keepdims=True), requires_grad=True)
-        targets = np.zeros((4, 5))
-        targets[np.arange(4), rng.integers(0, 5, 4)] = 1.0
-
-        def loss():
-            return cross_entropy_loss(probs, targets)
-        return loss, {"probs": probs}
-
-    def conv2d_1x1_case(rng):
-        x = _t(rng, 2, 5, 5, 3)
-        w = _t(rng, 1, 1, 3, 4, scale=0.5)
-        proj = np.random.default_rng([seed, 110]).standard_normal((2, 3, 3, 4))
-
-        def loss():
-            out = ops.conv2d(x, w, stride=2)
-            return ops.reduce_sum(ops.multiply(out, Tensor(proj)))
-        return loss, {"x": x, "w": w}
-
-    def conv2d_bias_case(rng):
-        # An eval conv_bn: a 3x3 conv of the folded kernel, with the folded
-        # shift as its bias.
-        x = _t(rng, 2, 4, 4, 2)
-        params = {"conv.w": _t(rng, 3, 3, 2, 3, scale=0.5),
-                  "bn.gamma": Tensor(rng.uniform(0.5, 1.5, 3), requires_grad=True),
-                  "bn.beta": _t(rng, 3, scale=0.2)}
-        stats = {"bn": ops.RunningStats(3, dtype=np.float64)}
-        stats["bn"].load({"mean": rng.standard_normal(3) * 0.2,
-                          "var": rng.uniform(0.5, 1.5, 3)})
-        proj = np.random.default_rng([seed, 111]).standard_normal((2, 4, 4, 3))
-
-        def loss():
-            out = conv_bn(params, stats, "conv", "bn", x, 1, training=False)
-            return ops.reduce_sum(ops.multiply(out, Tensor(proj)))
-        return loss, {"x": x, **params}
-
-    check("conv2d", conv2d_case)
-    check("batch_norm", batch_norm_case)
-    check("matmul", matmul_case)
-    check("softmax", softmax_case)
-    check("squash", squash_case)
-    check("l2_normalize", l2_normalize_case)
-    check("fm_interaction", fm_interaction_case)
-    check("se_block", se_block_case)
-    check("attention_capsules", attention_case)
-    check("cross_entropy_loss", cross_entropy_case)
-    # Appended after the older rungs, so each of them keeps its rng stream.
-    check("conv2d_1x1", conv2d_1x1_case)
-    check("conv2d_bias", conv2d_bias_case)
-
+    for i, (name, draw, forward) in enumerate(RUNGS):
+        inputs = draw(np.random.default_rng([seed, i]))
+        sources = {k: v for k, v in inputs.items() if isinstance(v, Tensor)}
+        results.append(finite_diff_check(name, _rung_loss(forward, inputs, seed, i),
+                                         sources, h=h, tol=tol))
     if include_model:
         results.append(model_check(h=h, tol=tol, seed=seed))
     return results

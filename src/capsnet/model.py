@@ -10,13 +10,13 @@ reweights poses and agreements before activations are formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from . import ops
-from .attention import attention_capsules, default_se_ratio
-from .backbone import Backbone, _init_bn, _init_conv, conv_bn, parameter_count
+from .attention import attention_capsules
+from .backbone import Backbone, _init_bn, _init_conv, conv_bn, init_se, parameter_count
 from .config import ModelConfig
 from .errors import ConfigError, ShapeError
 from .initializers import he_normal
@@ -62,12 +62,10 @@ class CapsuleClassifier:
                 f"model yields {self.num_primary} primary capsule(s); routing needs >= 2 "
                 f"(input {h}x{w} is too small or primary channels too narrow)")
         self.np_dtype = np.float32 if config.dtype == "float32" else np.float64
-        if config.use_attention:
-            self.attention_ratio = default_se_ratio(config.num_classes)
 
-    def init_params(self, seed: Union[int, np.random.Generator] = 0) -> tuple[dict, dict]:
+    def init_params(self, seed: int = 0) -> tuple[dict, dict]:
         """Fresh (params, stats) dicts; weights HeNormal, biases zero."""
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         cfg = self.config
         params: dict[str, Tensor] = {}
         stats: dict = {}
@@ -84,14 +82,7 @@ class CapsuleClassifier:
                       fan_in=cfg.primary_caps_dim, dtype=dtype),
             requires_grad=True)
         if cfg.use_attention:
-            j = cfg.num_classes
-            hidden = j // self.attention_ratio
-            params["attn.w1"] = Tensor(he_normal(rng, (j, hidden), dtype=dtype),
-                                       requires_grad=True)
-            params["attn.b1"] = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
-            params["attn.w2"] = Tensor(he_normal(rng, (hidden, j), dtype=dtype),
-                                       requires_grad=True)
-            params["attn.b2"] = Tensor(np.zeros(j, dtype=dtype), requires_grad=True)
+            init_se(rng, params, "attn", cfg.num_classes, dtype)
         return params, stats
 
     def _as_input(self, x) -> Tensor:

@@ -226,38 +226,25 @@ def dense(x, w, b) -> Tensor:
     return add(matmul(x, w), b)
 
 
-_EINSUM_LETTERS = set("abcdefghijklmnopqrstuvwxyz")
+def capsule_votes(w, u) -> Tensor:
+    """Per-class linear votes ``out[b, j, n] = u[b, n] @ w[j, n]``.
 
-
-def einsum2(pattern: str, a, b) -> Tensor:
-    """Two-operand einsum whose gradients are einsums with swapped roles.
-
-    Each operand label must reappear in the output or the other operand
-    (no label may be summed out of one operand alone), and labels may not
-    repeat within a single operand.  This covers batched capsule
-    prediction contractions while keeping the backward pass exact.
+    ``w`` is [J, n, k_in, k_out] and ``u`` is [B, n, k_in]; the result is
+    [B, J, n, k_out], the contraction ``jnio,bni->bjno``.  Each vjp is the
+    same contraction with the roles swapped.
     """
-    a, b = _pair(a, b)
-    if "->" not in pattern or pattern.count(",") != 1:
-        raise ShapeError(f"einsum2 pattern must look like 'ab,bc->ac', got {pattern!r}")
-    lhs, out_sub = pattern.split("->")
-    a_sub, b_sub = lhs.split(",")
-    for sub in (a_sub, b_sub, out_sub):
-        if not set(sub) <= _EINSUM_LETTERS:
-            raise ShapeError(f"einsum2 labels must be lowercase letters, got {pattern!r}")
-        if len(set(sub)) != len(sub):
-            raise ShapeError(f"einsum2 does not support repeated labels in one operand: {pattern!r}")
-    if not set(a_sub) <= set(out_sub) | set(b_sub):
-        raise ShapeError(f"label summed out of first operand alone is unsupported: {pattern!r}")
-    if not set(b_sub) <= set(out_sub) | set(a_sub):
-        raise ShapeError(f"label summed out of second operand alone is unsupported: {pattern!r}")
-    if not set(out_sub) <= set(a_sub) | set(b_sub):
-        raise ShapeError(f"output label missing from operands: {pattern!r}")
-
-    data = np.einsum(pattern, a.data, b.data)
+    w, u = as_tensor(w), as_tensor(u)
+    if w.ndim != 4:
+        raise ShapeError(f"prediction weights must be [J,n,k_in,k_out], got shape {w.shape}")
+    if u.ndim != 3:
+        raise ShapeError(f"capsule input must be [B,n,k_in], got shape {u.shape}")
+    if u.shape[1:] != w.shape[1:3]:
+        raise ShapeError(
+            f"capsule input {u.shape} does not match weights [n,k_in]={w.shape[1:3]}")
+    data = np.einsum("jnio,bni->bjno", w.data, u.data)
     return _make(data, [
-        (a, lambda g, bd=b.data: np.einsum(f"{out_sub},{b_sub}->{a_sub}", g, bd)),
-        (b, lambda g, ad=a.data: np.einsum(f"{out_sub},{a_sub}->{b_sub}", g, ad)),
+        (w, lambda g, ud=u.data: np.einsum("bjno,bni->jnio", g, ud)),
+        (u, lambda g, wd=w.data: np.einsum("bjno,jnio->bni", g, wd)),
     ])
 
 

@@ -109,17 +109,9 @@ def capsule_predictions(u, w) -> Tensor:
     """Per-class linear votes u_hat[b, j, i] = W[j, i] @ u[b, i].
 
     ``w`` is [J, n, k_in, k_out] and ``u`` is [B, n, k_in]; returns
-    [B, J, n, k_out].
+    [B, J, n, k_out] (``ops.capsule_votes``).
     """
-    u, w = as_tensor(u), as_tensor(w)
-    if w.ndim != 4:
-        raise ShapeError(f"prediction weights must be [J,n,k_in,k_out], got shape {w.shape}")
-    if u.ndim != 3:
-        raise ShapeError(f"capsule input must be [B,n,k_in], got shape {u.shape}")
-    if u.shape[1:] != w.shape[1:3]:
-        raise ShapeError(
-            f"capsule input {u.shape} does not match weights [n,k_in]={w.shape[1:3]}")
-    return ops.einsum2("jnio,bni->bjno", w, u)
+    return ops.capsule_votes(w, u)
 
 
 @dataclass

@@ -127,7 +127,7 @@ def train_epoch(model: CapsuleClassifier, state: TrainState,
     """One pass over (x, y); returns the epoch's history row."""
     cfg = state.config
     lr = step_lr(cfg.base_lr, cfg.drop_rate, cfg.epoch_drop, state.epoch)
-    rng = np.random.default_rng([cfg.seed, state.epoch]) if cfg.shuffle else None
+    rng = np.random.default_rng([cfg.seed, state.epoch])
     names = list(state.params)
     targets = one_hot(y, model.config.num_classes, dtype=model.np_dtype)
     loss_sum = 0.0

@@ -91,11 +91,12 @@ class TestRoundTrip:
 
 class TestRemovedConfigKeys:
     """Manifests written before stage_widths, primary_caps_channels,
-    se_ratio and wide_plan were dropped from ModelConfig."""
+    se_ratio and wide_plan were dropped from ModelConfig, and shuffle from
+    TrainConfig."""
 
-    def _with_model_config(self, path, **extra):
+    def _with_model_config(self, path, section="model_config", **extra):
         manifest = json.loads((path / "manifest.json").read_text())
-        manifest["model_config"].update(extra)
+        manifest[section].update(extra)
         (path / "manifest.json").write_text(json.dumps(manifest))
 
     def test_old_defaults_still_load(self, trained):
@@ -117,6 +118,18 @@ class TestRemovedConfigKeys:
         *_, path, _ = trained
         self._with_model_config(path, **extra)
         with pytest.raises(ConfigError, match="unknown model config keys"):
+            load_checkpoint(path)
+
+    def test_old_shuffle_default_still_loads(self, trained):
+        _, _, state, path, _ = trained
+        self._with_model_config(path, "train_config", shuffle=True)
+        _, state2 = load_checkpoint(path)
+        assert state2.config == state.config
+
+    def test_shuffle_off_rejected(self, trained):
+        *_, path, _ = trained
+        self._with_model_config(path, "train_config", shuffle=False)
+        with pytest.raises(ConfigError, match="unknown train config keys"):
             load_checkpoint(path)
 
 
@@ -160,6 +173,24 @@ class TestCorruption:
         manifest["tensors"][0]["shape"] = [999]
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError, match="shape"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("corrupt,mention", [
+        (lambda m: b"\xff\xfe" + json.dumps(m).encode(), "JSON"),
+        (lambda m: m["tensors"][0].update(shape="abc"), "shape"),
+        (lambda m: m["tensors"][0].update(offset="0"), "offset"),
+        (lambda m: m.update(epoch="x"), "epoch"),
+        (lambda m: m.update(epoch=-1), "epoch"),
+        (lambda m: m["model_config"].update(stem_widths=5), "config"),
+        (lambda m: m.update(train_config=[1, 2]), "config"),
+    ], ids=["not_utf8", "shape_not_a_list", "offset_not_an_int", "epoch_not_an_int",
+            "epoch_negative", "config_field_mistyped", "config_not_an_object"])
+    def test_malformed_manifest(self, trained, corrupt, mention):
+        *_, path, _ = trained
+        manifest = json.loads((path / "manifest.json").read_text())
+        raw = corrupt(manifest)  # new bytes, or None after editing in place
+        (path / "manifest.json").write_bytes(raw or json.dumps(manifest).encode())
+        with pytest.raises(CheckpointError, match=mention):
             load_checkpoint(path)
 
     def test_unsupported_dtype(self, trained):

@@ -24,7 +24,7 @@ def test_routing_demo_matches_oracle(capsys):
 def test_gradcheck_ops_only(capsys):
     assert main(["gradcheck", "--skip-model"]) == 0
     out = capsys.readouterr().out
-    assert "12/12 gradient checks passed" in out
+    assert "13/13 gradient checks passed" in out
     assert "conv2d" in out and "fm_interaction" in out
 
 
@@ -56,6 +56,20 @@ def test_eval_missing_checkpoint_is_clean_error(tmp_path, capsys):
     code = main(["eval", *FAST_DATA, "--checkpoint", str(tmp_path / "nope")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_malformed_manifest(tmp_path, capsys, checkpoint):
+    bad = tmp_path / "checkpoint"
+    bad.mkdir()
+    (bad / "params.bin").write_bytes((checkpoint / "params.bin").read_bytes())
+    manifest = json.loads((checkpoint / "manifest.json").read_text())
+    manifest["epoch"] = "x"
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = main(["eval", *FAST_DATA, "--checkpoint", str(bad)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "epoch" in err
 
 
 def test_eval_rejects_a_removed_width_plan(tmp_path, capsys):
@@ -135,8 +149,12 @@ def checkpoint(tmp_path_factory):
     ("train", ["--test-samples", "0"], "--test-samples"),
     ("train", ["--samples", "-3"], "--samples"),
     ("gradcheck", ["--step", "0"], "step"),
+    ("train", ["--classes", "0"], "num_classes"),
+    ("train", ["--noise", "-1"], "noise"),
+    ("train", ["--image-size", "-4"], "image_size"),
 ], ids=["eval_batch_negative", "eval_batch_zero", "train_no_test_samples",
-        "train_negative_samples", "gradcheck_zero_step"])
+        "train_negative_samples", "gradcheck_zero_step", "train_zero_classes",
+        "train_negative_noise", "train_negative_image_size"])
 def test_bad_size_or_step_is_clean_error(tmp_path, capsys, checkpoint, command, flags,
                                          mention):
     common = {"eval": [*FAST_DATA, "--checkpoint", str(checkpoint)],

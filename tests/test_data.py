@@ -11,7 +11,7 @@ from capsnet.data import (load_cifar10_batch, load_cifar10_dir, load_idx_images,
                           load_idx_labels, load_idx_pair, find_idx_split,
                           make_bars, make_blobs, normalize_images, take_subset,
                           train_test_split, write_idx_images, write_idx_labels)
-from capsnet.errors import DataFormatError
+from capsnet.errors import ConfigError, DataFormatError
 
 
 @pytest.fixture
@@ -164,6 +164,17 @@ class TestSynthetic:
         x, _ = make_blobs(4, channels=3, seed=0)
         assert x.shape[-1] == 3
         assert np.array_equal(x[..., 0], x[..., 1])
+
+    @pytest.mark.parametrize("maker", [make_blobs, make_bars])
+    @pytest.mark.parametrize("bad,mention", [
+        (dict(num_classes=0), "num_classes"), (dict(image_size=0), "image_size"),
+        (dict(image_size=-4), "image_size"), (dict(channels=0), "channels"),
+        (dict(noise=-1.0), "noise"), (dict(noise=float("nan")), "noise"),
+    ], ids=["no_classes", "zero_size", "negative_size", "no_channels", "negative_noise",
+            "nan_noise"])
+    def test_bad_arguments_rejected(self, maker, bad, mention):
+        with pytest.raises(ConfigError, match=mention):
+            maker(8, **bad)
 
 
 class TestSplitSubset:

@@ -330,35 +330,24 @@ class TestMatmulEinsum:
         with pytest.raises(ShapeError):
             ops.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
 
-    def test_einsum2_matches_numpy(self, rng):
+    def test_capsule_votes_matches_numpy(self, rng):
         w = rng.standard_normal((3, 4, 5, 6))
-        u = rng.standard_normal((4, 5))
-        out = ops.einsum2("jnio,ni->jno", Tensor(w), Tensor(u))
-        assert np.allclose(out.data, np.einsum("jnio,ni->jno", w, u))
+        u = rng.standard_normal((2, 4, 5))
+        out = ops.capsule_votes(Tensor(w), Tensor(u))
+        assert np.allclose(out.data, np.einsum("jnio,bni->bjno", w, u))
+        # each vote is one capsule times its own weight matrix
+        assert np.allclose(out.data[1, 2, 3], u[1, 3] @ w[2, 3])
 
-    def test_einsum2_grads_via_swap(self, rng):
+    def test_capsule_votes_grads_via_swap(self, rng):
         w = Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
         u = Tensor(rng.standard_normal((6, 3, 4)), requires_grad=True)
         proj = rng.standard_normal((6, 2, 3, 5))
         with GradientTape() as tape:
-            y = ops.reduce_sum(ops.multiply(
-                ops.einsum2("jnio,bni->bjno", w, u), Tensor(proj)))
+            y = ops.reduce_sum(ops.multiply(ops.capsule_votes(w, u), Tensor(proj)))
         gw, gu = tape.gradient(y, [w, u])
+        assert len(tape) == 3  # votes, multiply, reduce_sum
         assert np.allclose(gw, np.einsum("bjno,bni->jnio", proj, u.data))
         assert np.allclose(gu, np.einsum("bjno,jnio->bni", proj, w.data))
-
-    @pytest.mark.parametrize("pattern", [
-        "ab,bc",            # missing arrow
-        "ab,bc->ac,d",      # malformed
-        "aab,bc->ac",       # repeated label in one operand
-        "abz,bc->ac",       # z summed out of lhs alone
-        "ab,bc->ad",        # output label nowhere
-    ])
-    def test_einsum2_rejects_unsupported_patterns(self, pattern):
-        a = Tensor(np.ones((2, 2, 2)) if pattern.startswith(("aab", "abz")) else np.ones((2, 2)))
-        b = Tensor(np.ones((2, 2)))
-        with pytest.raises(ShapeError):
-            ops.einsum2(pattern, a, b)
 
 
 def conv2d_loop_reference(x, w, stride):
