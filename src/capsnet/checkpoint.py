@@ -19,6 +19,7 @@ import numpy as np
 
 from .config import ModelConfig, TrainConfig
 from .errors import CheckpointError, ConfigError
+from .model import CapsuleClassifier
 from .ops import RunningStats
 from .tensor import Tensor
 from .training import TrainState
@@ -33,6 +34,18 @@ _ALLOWED_DTYPES = ("<f4", "<f8")
 def _is_count(value) -> bool:
     """A JSON integer >= 0 (``true`` is not one)."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_layout(section: str, got: dict, want: dict) -> None:
+    """``got`` must map the names of ``want`` to the same shapes."""
+    if got == want:
+        return
+    missing = sorted(want.keys() - got.keys())
+    extra = sorted(got.keys() - want.keys())
+    reshaped = sorted(n for n in want.keys() & got.keys() if got[n] != want[n])
+    raise CheckpointError(
+        f"{section} entries do not match the model config: missing {missing[:3]}, "
+        f"unexpected {extra[:3]}, wrong shape {reshaped[:3]}")
 
 
 def _entries(state: TrainState):
@@ -97,7 +110,10 @@ def save_checkpoint(path, model_config: ModelConfig, state: TrainState) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, TrainState]:
-    """Rebuild configs and a TrainState bit-exactly from ``path``."""
+    """Rebuild configs and a TrainState bit-exactly from ``path``.
+
+    The params, batch-norm stats and velocities must have the names and
+    shapes that the manifest's ``model_config`` builds."""
     path = Path(path)
     manifest_path = path / MANIFEST_NAME
     blob_path = path / BLOB_NAME
@@ -187,8 +203,12 @@ def load_checkpoint(path) -> tuple[ModelConfig, TrainState]:
         rs = RunningStats(mean.shape[0], dtype=mean.dtype)
         rs.load({"mean": mean, "var": variances[name]})
         stats[name] = rs
-    if set(velocity) != set(params):
-        raise CheckpointError("velocity entries do not match parameter entries")
+    want_params, want_stats = CapsuleClassifier(model_config).init_params()
+    param_shapes = {name: t.shape for name, t in want_params.items()}
+    _check_layout("param", {name: t.shape for name, t in params.items()}, param_shapes)
+    _check_layout("batch-norm", {name: rs.mean.shape for name, rs in stats.items()},
+                  {name: rs.mean.shape for name, rs in want_stats.items()})
+    _check_layout("velocity", {name: v.shape for name, v in velocity.items()}, param_shapes)
 
     state = TrainState(params=params, stats=stats, velocity=velocity,
                        epoch=manifest["epoch"], config=train_config)

@@ -151,8 +151,11 @@ def maximum(x, threshold: float) -> Tensor:
     """Elementwise max against a constant; gradient is 0 on the clamped side."""
     x = as_tensor(x)
     t = x.dtype.type(threshold)
-    # The mask is built in backward, so a forward without a tape skips it.
-    return _make(np.maximum(x.data, t), [(x, lambda g, xd=x.data: g * (xd > t))])
+    y = np.maximum(x.data, t)
+    # The mask is built in backward, so a forward without a tape skips it,
+    # and from the output, so the input can be freed: ``y > t`` exactly
+    # where ``x > t`` (both are false at x == t and at NaN).
+    return _make(y, [(x, lambda g, yd=y: g * (yd > t))])
 
 
 def relu(x) -> Tensor:
@@ -282,9 +285,12 @@ def conv2d(x, w, stride: int = 1, bias=None) -> Tensor:
     [kh,kw,C,F] kernel, plus an optional per-channel [F] ``bias``.
 
     A tracked call (a tape is active and ``x``, ``w`` or ``bias`` requires
-    grad) builds the im2col matrix of the whole batch once and keeps it for
-    the kernel gradient.  An untracked call builds it ``_IM2COL_BUDGET``
-    bytes at a time, so its memory is the output plus a bounded buffer.
+    grad) builds the im2col matrix of the whole batch in one piece, and its
+    kernel gradient builds it again in backward from ``x``'s array: between
+    forward and backward the conv holds its input, not the kh·kw times
+    larger matrix (recompute instead of store; Chen et al., 2016).  An
+    untracked call builds the matrix ``_IM2COL_BUDGET`` bytes at a time, so
+    its memory is the output plus a bounded buffer.
     """
     x, w = as_tensor(x), as_tensor(w)
     b = None if bias is None else as_tensor(bias)
@@ -307,23 +313,24 @@ def conv2d(x, w, stride: int = 1, bias=None) -> Tensor:
     tracked = active_tape() is not None and any(
         t is not None and t.requires_grad for t in (x, w, b))
     rows, k = ho * wo, kh * kw * c
-    wmat = w.data.reshape(k, c_out)
+    xd, wmat = x.data, w.data.reshape(k, c_out)
+
+    def im2col(xs):
+        """The [len(xs)·rows, k] window matrix of a run of whole samples."""
+        xp = _pad_hw(xs, pt, pb, pl, pr)
+        windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+        cols = np.ascontiguousarray(windows[:, :ho, :wo].transpose(0, 1, 2, 4, 5, 3))
+        return cols.reshape(len(xs) * rows, k)
+
     data = np.empty((n, ho, wo, c_out), dtype=np.result_type(x.dtype, w.dtype))
     out = data.reshape(n * rows, c_out)
     chunk = n if tracked else max(1, _IM2COL_BUDGET // (rows * k * x.dtype.itemsize))
     for s in range(0, n, chunk):
         e = min(s + chunk, n)
-        xp = _pad_hw(x.data[s:e], pt, pb, pl, pr)
-        windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-        windows = windows[:, :ho, :wo]
-        cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
-        cols = cols.reshape((e - s) * rows, k)
         dst = out[s * rows:e * rows]
-        np.matmul(cols, wmat, out=dst)
+        np.matmul(im2col(xd[s:e]), wmat, out=dst)
         if b is not None:
             dst += b.data
-    # A tracked call ran one chunk, so ``cols`` is the whole batch's; an
-    # untracked call's vjps are never recorded.
     padded_shape = (n, h + pt + pb, wd + pl + pr, c)
 
     def vjp_x(g):
@@ -337,8 +344,9 @@ def conv2d(x, w, stride: int = 1, bias=None) -> Tensor:
         return gx[:, pt:pt + h, pl:pl + wd, :]
 
     def vjp_w(g):
+        # The whole batch in one piece, as a tracked forward built it.
         gmat = g.reshape(n * rows, c_out)
-        return (cols.T @ gmat).reshape(kh, kw, c_in, c_out)
+        return (im2col(xd).T @ gmat).reshape(kh, kw, c_in, c_out)
 
     return _make(data, [(x, vjp_x), (w, vjp_w)] + _bias_pair(b))
 

@@ -8,6 +8,7 @@ parameter tensors instead of writing through old ones.
 
 from __future__ import annotations
 
+import itertools
 from contextvars import ContextVar
 from typing import Callable, Optional, Sequence
 
@@ -20,15 +21,19 @@ VjpFn = Callable[[Array], Array]
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
+# Serials for ``Tensor.key``: unlike ``id()``, never reused by a later tensor.
+_KEYS = itertools.count()
+
 
 class Tensor:
     """A dense N-dimensional array of real scalars with shape metadata.
 
     Verification paths use float64; training paths may use float32.  The
-    dtype of ``data`` is preserved by every operation.
+    dtype of ``data`` is preserved by every operation.  ``key`` is a serial
+    no other tensor of the process shares; the tape names tensors by it.
     """
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data", "requires_grad", "key")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -38,6 +43,7 @@ class Tensor:
             raise ShapeError(f"tensor extents must all be >= 1, got shape {arr.shape}")
         self.data = arr
         self.requires_grad = bool(requires_grad)
+        self.key = next(_KEYS)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -84,17 +90,20 @@ class GradientTape:
         grads = tape.gradient(loss, list_of_param_tensors)
 
     Gradients accumulate additively whenever a tensor feeds several
-    consumers.  ``gradient()`` consumes the tape: it walks the records
-    newest-first and frees each record (with the forward activations its
-    closures hold) and each intermediate gradient as soon as it is used, so
-    a second call raises ``RuntimeError``.  ``len()`` counts the operations
-    recorded, before and after.  A tape is active only in the context
-    (thread) that entered it, and tapes do not nest within one context;
-    forward/backward over one tape is single-threaded.
+    consumers.  A record names its output and inputs by ``Tensor.key`` and
+    holds no tensor, so between forward and backward the tape keeps alive
+    only the arrays its vjp closures read: an activation no vjp reads is
+    freed as soon as the forward code drops it.  ``gradient()`` consumes the
+    tape: it walks the records newest-first and frees each record (with the
+    arrays its closures hold) and each intermediate gradient as soon as it
+    is used, so a second call raises ``RuntimeError``.  ``len()`` counts
+    the operations recorded, before and after.  A tape is active only in
+    the context (thread) that entered it, and tapes do not nest within one
+    context; forward/backward over one tape is single-threaded.
     """
 
     def __init__(self):
-        self._records: list[Optional[tuple[Tensor, tuple[Tensor, ...],
+        self._records: list[Optional[tuple[int, tuple[int, ...],
                                            tuple[Optional[VjpFn], ...]]]] = []
         self._consumed = False
 
@@ -114,16 +123,16 @@ class GradientTape:
         inputs: tuple[Tensor, ...],
         vjps: tuple[Optional[VjpFn], ...],
     ) -> None:
-        self._records.append((out, inputs, vjps))
+        self._records.append((out.key, tuple(t.key for t in inputs), vjps))
 
     def __len__(self) -> int:
         return len(self._records)
 
     def _walk(self, loss: Tensor, keep: set[int]) -> dict[int, Array]:
-        """Reverse-mode sweep; returns gradients keyed by tensor id.
+        """Reverse-mode sweep; returns gradients keyed by ``Tensor.key``.
 
         The gradient of a record's output is popped once its vjps have run,
-        unless its id is in ``keep``.  A fan-in sum is added in place only
+        unless its key is in ``keep``.  A fan-in sum is added in place only
         into a buffer this walk allocated: a vjp may return its cotangent
         itself (``add``) or a view of it (``reshape``), or forward data.
         """
@@ -134,20 +143,18 @@ class GradientTape:
                                "record a new one")
         self._consumed = True
         records = self._records
-        grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
+        grads: dict[int, Array] = {loss.key: np.ones_like(loss.data)}
         owned: set[int] = set()
         for k in range(len(records) - 1, -1, -1):
             out, inputs, vjps = records[k]
             records[k] = None
-            key = id(out)
-            g = grads.get(key) if key in keep else grads.pop(key, None)
+            g = grads.get(out) if out in keep else grads.pop(out, None)
             if g is None:
                 continue
-            for inp, vjp in zip(inputs, vjps):
+            for key, vjp in zip(inputs, vjps):
                 if vjp is None:
                     continue
                 contribution = vjp(g)
-                key = id(inp)
                 prev = grads.get(key)
                 if prev is None:
                     grads[key] = contribution
@@ -163,8 +170,8 @@ class GradientTape:
         """Gradients of ``loss`` w.r.t. each source (zeros if unused).
 
         Consumes the tape; see the class docstring."""
-        grads = self._walk(loss, {id(s) for s in sources})
-        return [grads.get(id(s), np.zeros_like(s.data)) for s in sources]
+        grads = self._walk(loss, {s.key for s in sources})
+        return [grads.get(s.key, np.zeros_like(s.data)) for s in sources]
 
 
 def as_tensor(value) -> Tensor:

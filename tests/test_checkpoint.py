@@ -193,6 +193,25 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match=mention):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("name,sections,edit,mention", [
+        ("caps.w", ("param", "velocity"), lambda e: e.update(name="caps.weights"),
+         "param entries"),
+        ("primary.bn", ("bn_mean", "bn_var"), lambda e: e.update(name="primary.norm"),
+         "batch-norm entries"),
+        ("caps.w", ("velocity",), lambda e: e.update(shape=[int(np.prod(e["shape"]))]),
+         "velocity entries"),
+    ], ids=["params_renamed", "bn_stats_renamed", "velocity_reshaped"])
+    def test_entries_must_be_the_ones_the_config_builds(self, trained, name, sections,
+                                                         edit, mention):
+        *_, path, _ = trained
+        manifest = json.loads((path / "manifest.json").read_text())
+        for entry in manifest["tensors"]:
+            if entry["name"] == name and entry["section"] in sections:
+                edit(entry)
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=mention):
+            load_checkpoint(path)
+
     def test_unsupported_dtype(self, trained):
         *_, path, _ = trained
         manifest = json.loads((path / "manifest.json").read_text())

@@ -72,6 +72,22 @@ def test_eval_rejects_a_malformed_manifest(tmp_path, capsys, checkpoint):
     assert err.startswith("error:") and "epoch" in err
 
 
+def test_eval_rejects_entries_the_config_does_not_build(tmp_path, capsys, checkpoint):
+    bad = tmp_path / "checkpoint"
+    bad.mkdir()
+    (bad / "params.bin").write_bytes((checkpoint / "params.bin").read_bytes())
+    manifest = json.loads((checkpoint / "manifest.json").read_text())
+    for entry in manifest["tensors"]:
+        if entry["name"] == "caps.w":
+            entry["name"] = "caps.weights"
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = main(["eval", *FAST_DATA, "--checkpoint", str(bad)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "caps.w" in err
+
+
 def test_eval_rejects_a_removed_width_plan(tmp_path, capsys):
     out_dir = tmp_path / "run"
     main(["train", *FAST_DATA, *FAST_TRAIN, "--quiet", "--out", str(out_dir)])

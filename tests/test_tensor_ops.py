@@ -28,17 +28,16 @@ def grad_of(fn, *tensors):
 def keep_everything_walk(tape, loss, sources):
     """Reference reverse sweep that keeps every record and every gradient
     alive and sums each fan-in into a fresh array."""
-    grads = {id(loss): np.ones_like(loss.data)}
+    grads = {loss.key: np.ones_like(loss.data)}
     for out, inputs, vjps in reversed(tape._records):
-        g = grads.get(id(out))
+        g = grads.get(out)
         if g is None:
             continue
-        for inp, vjp in zip(inputs, vjps):
+        for key, vjp in zip(inputs, vjps):
             if vjp is not None:
                 c = vjp(g)
-                key = id(inp)
                 grads[key] = grads[key] + c if key in grads else c
-    return [grads.get(id(s), np.zeros_like(s.data)) for s in sources]
+    return [grads.get(s.key, np.zeros_like(s.data)) for s in sources]
 
 
 class TestTensor:
@@ -136,9 +135,12 @@ class TestTape:
     def test_gradient_consumes_tape(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with GradientTape() as tape:
-            y = ops.reduce_sum(ops.exp(x))
-        # the activation held by exp's output and its vjp closure
-        activation = weakref.ref(tape._records[0][0].data)
+            e = ops.exp(x)
+            y = ops.reduce_sum(e)
+        # exp's output array, which its vjp closure holds once ``e`` is gone
+        activation = weakref.ref(e.data)
+        del e
+        assert activation() is not None
         recorded = len(tape)
         (g,) = tape.gradient(y, [x])
         np.testing.assert_allclose(g, np.exp([1.0, 2.0]), rtol=1e-15)
