@@ -9,7 +9,9 @@ recomputed.
 
 Each differentiable function has a ``*_reference`` twin: a straight-line
 numpy implementation kept deliberately independent of the tensor engine so
-the two can be checked against each other.
+the two can be checked against each other.  The twins take their sigmoid
+from ``scipy.special.expit``, imported on the first call, so importing the
+package does not load scipy.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import ops
 from .errors import ConfigError, ShapeError
@@ -64,6 +65,7 @@ def se_block(x, w1, b1, w2, b2) -> Tensor:
 def se_block_reference(x: np.ndarray, w1: np.ndarray, b1: np.ndarray,
                        w2: np.ndarray, b2: np.ndarray) -> np.ndarray:
     """Straight-line numpy oracle for :func:`se_block` (no tensor engine)."""
+    from scipy.special import expit
     x = np.asarray(x, dtype=np.float64)
     pooled = x.mean(axis=(1, 2))
     hidden = pooled @ np.asarray(w1, dtype=np.float64) + np.asarray(b1, dtype=np.float64)
@@ -113,6 +115,7 @@ def attention_capsules_reference(poses: np.ndarray, agreements: np.ndarray,
                                  w1: np.ndarray, b1: np.ndarray,
                                  w2: np.ndarray, b2: np.ndarray):
     """Straight-line numpy oracle for :func:`attention_capsules` ([B,J,k] poses)."""
+    from scipy.special import expit
     poses = np.asarray(poses, dtype=np.float64)
     agreements = np.asarray(agreements, dtype=np.float64)
     pooled = poses.mean(axis=-1)

@@ -59,15 +59,34 @@ def _entries(state: TrainState):
         yield "velocity", name, state.velocity[name]
 
 
+def _write_synced(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` and force it to the disk."""
+    with open(path, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
+def _sync_dir(path: Path) -> None:
+    """Force the directory's entries, and so its renames, to the disk."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def save_checkpoint(path, model_config: ModelConfig, state: TrainState) -> None:
     """Write ``manifest.json`` and ``params.bin`` into directory ``path``.
 
-    Both files are first written under temporary names in ``path`` and then
-    moved into place with ``os.replace``, blob first, so a save that fails
-    while writing leaves the previous checkpoint as it was.  One window
-    remains: a crash between the two replaces pairs the new blob with the
-    old manifest, which :func:`load_checkpoint` rejects by the blob's
-    SHA-256.
+    Both files are first written under temporary names in ``path``, flushed
+    and fsynced, and then moved into place with ``os.replace``, blob first;
+    the directory is fsynced after the second replace.  So a save that
+    fails while writing leaves the previous checkpoint as it was, and a
+    power loss after the replaces cannot leave a renamed file without its
+    bytes.  One window remains: a crash between the two replaces pairs the
+    new blob with the old manifest, which :func:`load_checkpoint` rejects
+    by the blob's SHA-256.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -100,10 +119,12 @@ def save_checkpoint(path, model_config: ModelConfig, state: TrainState) -> None:
     }
     tmp_blob, tmp_manifest = path / (BLOB_NAME + ".tmp"), path / (MANIFEST_NAME + ".tmp")
     try:
-        tmp_blob.write_bytes(blob)
-        tmp_manifest.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        _write_synced(tmp_blob, blob)
+        _write_synced(tmp_manifest,
+                      (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
         os.replace(tmp_blob, path / BLOB_NAME)
         os.replace(tmp_manifest, path / MANIFEST_NAME)
+        _sync_dir(path)
     finally:
         tmp_blob.unlink(missing_ok=True)
         tmp_manifest.unlink(missing_ok=True)

@@ -177,18 +177,17 @@ def make_blobs(n: int, num_classes: int = 4, image_size: int = 16,
     angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
     anchor_x = cx0 + radius * np.cos(angles)
     anchor_y = cy0 + radius * np.sin(angles)
-    yy, xx = np.mgrid[0:image_size, 0:image_size]
     sigma = image_size / 8.0
-    images = np.empty((n, image_size, image_size, channels), dtype=np.float32)
     jitter = rng.normal(scale=0.6, size=(n, 2))
     pixel_noise = rng.normal(scale=noise, size=(n, image_size, image_size)).astype(np.float32)
-    for i in range(n):
-        j = labels[i]
-        cx = anchor_x[j] + jitter[i, 0]
-        cy = anchor_y[j] + jitter[i, 1]
-        bump = np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * sigma ** 2))
-        img = (bump + pixel_noise[i]).astype(np.float32)
-        images[i] = np.repeat(img[:, :, None], channels, axis=2)
+    cx = (anchor_x[labels] + jitter[:, 0])[:, None, None]
+    cy = (anchor_y[labels] + jitter[:, 1])[:, None, None]
+    grid = np.arange(image_size)
+    # squared distances along x as [n,1,W] and along y as [n,H,1]; their
+    # broadcast sum is the [n,H,W] map of squared distances to each centre
+    bump = np.exp(-((grid - cx) ** 2 + (grid[:, None] - cy) ** 2) / (2.0 * sigma ** 2))
+    images = (bump + pixel_noise).astype(np.float32)
+    images = np.repeat(images[..., None], channels, axis=3)
     return images, labels.astype(np.int64)
 
 

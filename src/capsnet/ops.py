@@ -17,7 +17,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import expit
 
 from .errors import BatchSizeError, ShapeError
 from .tensor import Tensor, active_tape, as_tensor
@@ -163,8 +162,13 @@ def relu(x) -> Tensor:
 
 
 def sigmoid(x) -> Tensor:
+    """Logistic function in the input's dtype, in a form that cannot overflow:
+    with ``e = exp(-|x|)`` in [0, 1], it is 1/(1+e) for x >= 0 and e/(1+e)
+    below."""
     x = as_tensor(x)
-    y = expit(x.data)
+    e = np.exp(-np.abs(x.data))
+    d = 1.0 + e
+    y = np.where(x.data >= 0, 1.0 / d, e / d)
     return _make(y, [(x, lambda g, yd=y: g * yd * (1.0 - yd))])
 
 

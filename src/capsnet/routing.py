@@ -43,11 +43,18 @@ def squash(s) -> Tensor:
     return ops.multiply(s, scale)
 
 
+def _clamped_norm(v) -> tuple[Tensor, Tensor]:
+    """The squared norm along the last axis, and the norm with the squared
+    norm clamped to at least ``EPS_NORM**2`` before the root, so neither the
+    root nor its gradient ever sees zero."""
+    sumsq = ops.reduce_sum(ops.square(v), axis=-1, keepdims=True)
+    return sumsq, ops.sqrt(ops.maximum(sumsq, EPS_NORM ** 2))
+
+
 def l2_normalize(u) -> Tensor:
     """Scale vectors along the last axis to unit norm; zero vectors stay zero."""
     u = as_tensor(u)
-    norm = ops.sqrt(ops.reduce_sum(ops.square(u), axis=-1, keepdims=True))
-    return ops.divide(u, ops.maximum(norm, EPS_NORM))
+    return ops.divide(u, _clamped_norm(u)[1])
 
 
 def fm_interaction(u_hat) -> Tensor:
@@ -89,15 +96,14 @@ def fm_interaction_reference(u_hat: np.ndarray) -> np.ndarray:
 def interaction_pose(h) -> Tensor:
     """Unit-norm direction of each interaction vector.
 
-    Rows whose norm falls below ``EPS_NORM`` come out exactly zero, so every
-    pose has norm 1 or norm 0.  The cutoff mask is treated as a constant
-    under differentiation.
+    Rows whose squared norm falls below ``EPS_NORM**2`` come out exactly
+    zero, so every pose has norm 1 or norm 0.  The cutoff mask is treated as
+    a constant under differentiation.
     """
     h = as_tensor(h)
-    norm = ops.sqrt(ops.reduce_sum(ops.square(h), axis=-1, keepdims=True))
-    mask = (norm.data >= EPS_NORM).astype(h.dtype)
-    unit = ops.divide(h, ops.maximum(norm, EPS_NORM))
-    return ops.multiply(unit, Tensor(mask))
+    sumsq, norm = _clamped_norm(h)
+    mask = (sumsq.data >= EPS_NORM ** 2).astype(h.dtype)
+    return ops.multiply(ops.divide(h, norm), Tensor(mask))
 
 
 def agreement(h) -> Tensor:

@@ -1,6 +1,8 @@
 """Checkpoint persistence: bit-exact round trips and corruption detection."""
 
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -72,12 +74,20 @@ class TestRoundTrip:
         _, before = load_checkpoint(path)
         train_epoch(model, state, x, y)
 
-        def fail(*args, **kwargs):
-            raise OSError("disk full")
-        monkeypatch.setattr(Path, "write_text", fail)
-        with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(path, cfg, state)
-        monkeypatch.undo()
+        real_fsync = os.fsync
+        # one save fails syncing the blob's temp file, a second the manifest's
+        for fail_at in (1, 2):
+            calls = []
+
+            def fail(fd):
+                calls.append(fd)
+                if len(calls) == fail_at:
+                    raise OSError("disk full")
+                real_fsync(fd)
+            monkeypatch.setattr(os, "fsync", fail)
+            with pytest.raises(OSError, match="disk full"):
+                save_checkpoint(path, cfg, state)
+            monkeypatch.undo()
         _, after = load_checkpoint(path)
         assert after.epoch == before.epoch == 1
         for k in before.params:
@@ -87,6 +97,34 @@ class TestRoundTrip:
             assert np.array_equal(after.stats[k].mean, before.stats[k].mean)
             assert np.array_equal(after.stats[k].var, before.stats[k].var)
         assert sorted(p.name for p in path.iterdir()) == ["manifest.json", "params.bin"]
+
+    def test_files_synced_before_their_replace_and_directory_after(self, trained,
+                                                                    monkeypatch):
+        cfg, model, state, path, _ = trained
+        real_fsync, real_replace = os.fsync, os.replace
+        calls = []
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            calls.append(("fsync", st.st_ino, None if stat.S_ISDIR(st.st_mode) else st.st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", Path(src).name, Path(dst).name))
+            real_replace(src, dst)
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        save_checkpoint(path, cfg, state)
+        monkeypatch.undo()
+        blob, manifest = (path / "params.bin").stat(), (path / "manifest.json").stat()
+        # each temp file is synced whole (its final size) under the inode it
+        # keeps through the replace
+        assert calls == [("fsync", blob.st_ino, blob.st_size),
+                         ("fsync", manifest.st_ino, manifest.st_size),
+                         ("replace", "params.bin.tmp", "params.bin"),
+                         ("replace", "manifest.json.tmp", "manifest.json"),
+                         ("fsync", path.stat().st_ino, None)]
+        load_checkpoint(path)
 
 
 class TestRemovedConfigKeys:

@@ -140,7 +140,44 @@ class TestNormalize:
         assert normalize_images(x).dtype == np.float32
 
 
+def make_blobs_loop(n, num_classes, image_size, channels, noise, seed):
+    """``make_blobs`` one sample at a time: the bump of each image from its
+    own jittered anchor over the full pixel grid."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % num_classes
+    rng.shuffle(labels)
+    radius = image_size / 3.2
+    cx0 = cy0 = (image_size - 1) / 2.0
+    angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
+    anchor_x = cx0 + radius * np.cos(angles)
+    anchor_y = cy0 + radius * np.sin(angles)
+    yy, xx = np.mgrid[0:image_size, 0:image_size]
+    sigma = image_size / 8.0
+    images = np.empty((n, image_size, image_size, channels), dtype=np.float32)
+    jitter = rng.normal(scale=0.6, size=(n, 2))
+    pixel_noise = rng.normal(scale=noise, size=(n, image_size, image_size)).astype(np.float32)
+    for i in range(n):
+        j = labels[i]
+        cx = anchor_x[j] + jitter[i, 0]
+        cy = anchor_y[j] + jitter[i, 1]
+        bump = np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * sigma ** 2))
+        img = (bump + pixel_noise[i]).astype(np.float32)
+        images[i] = np.repeat(img[:, :, None], channels, axis=2)
+    return images, labels.astype(np.int64)
+
+
 class TestSynthetic:
+    @pytest.mark.parametrize("n,classes,size,channels,noise,seed", [
+        (256, 4, 16, 1, 0.05, 0), (64, 10, 32, 3, 0.05, 5), (33, 3, 28, 1, 0.0, 1),
+        (5, 7, 9, 2, 1.5, 3), (1, 1, 1, 1, 0.05, 0), (0, 4, 16, 3, 0.05, 2),
+    ])
+    def test_blobs_equal_per_sample_loop(self, n, classes, size, channels, noise, seed):
+        x, y = make_blobs(n, classes, size, channels, noise, seed)
+        x_ref, y_ref = make_blobs_loop(n, classes, size, channels, noise, seed)
+        assert x.shape == x_ref.shape and x.dtype == x_ref.dtype and x.flags.c_contiguous
+        assert x.tobytes() == x_ref.tobytes()
+        assert y.dtype == y_ref.dtype and np.array_equal(y, y_ref)
+
     @pytest.mark.parametrize("maker", [make_blobs, make_bars])
     def test_shapes_balance_determinism(self, maker):
         x1, y1 = maker(40, num_classes=4, image_size=16, seed=3)

@@ -1,6 +1,8 @@
 """Routing tests: the factorized pairwise interaction against its brute-force
 oracle, squash/pose invariants, and the two activation variants."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from capsnet import GradientTape, Tensor
 from capsnet import ops
 from capsnet.errors import ConfigError, ShapeError
-from capsnet.routing import (agreement, capsule_predictions, fm_interaction,
+from capsnet.routing import (EPS_NORM, agreement, capsule_predictions, fm_interaction,
                              fm_interaction_reference, interaction_pose,
                              l2_normalize, route, squash)
 
@@ -103,6 +105,54 @@ class TestPose:
         norms = np.linalg.norm(interaction_pose(Tensor(h)).data, axis=-1)
         assert np.allclose(norms[[0, 1, 3, 5]], 1.0, atol=1e-12)
         assert norms[2] == 0.0 and norms[4] == 0.0
+
+
+def norm_after_root(v):
+    """The norm clamped after the root, ``maximum(sqrt(sumsq), EPS_NORM)``."""
+    return ops.maximum(ops.sqrt(ops.reduce_sum(ops.square(v), axis=-1, keepdims=True)),
+                       EPS_NORM)
+
+
+# each function with its form before the clamp moved under the root
+CLAMPED_AND_OLD_FORMS = {
+    "l2_normalize": (l2_normalize, lambda v: ops.divide(v, norm_after_root(v))),
+    "interaction_pose": (interaction_pose, lambda v: ops.multiply(
+        ops.divide(v, norm_after_root(v)),
+        Tensor((norm_after_root(v).data > EPS_NORM).astype(v.dtype)))),
+}
+
+
+@pytest.mark.parametrize("name", CLAMPED_AND_OLD_FORMS)
+class TestClampedNorm:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_at_zero_row_is_finite(self, rng, name, dtype):
+        forward = CLAMPED_AND_OLD_FORMS[name][0]
+        xv = rng.standard_normal((3, 5)).astype(dtype)
+        xv[1] = 0.0
+        r = rng.standard_normal(xv.shape).astype(dtype)
+        x = Tensor(xv, requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with GradientTape() as tape:
+                y = forward(x)
+                loss = ops.reduce_sum(ops.multiply(y, r))
+            (g,) = tape.gradient(loss, [x])
+        assert np.all(y.data[1] == 0.0)
+        assert np.all(np.isfinite(g))
+
+    def test_rows_above_the_clamp_keep_their_bits(self, rng, name):
+        # the clamp moved from the norm to the squared norm: rows it does not
+        # touch give the bits of the norm clamped after the root
+        xv = rng.standard_normal((6, 4, 7)) * rng.uniform(1e-6, 1e3, (6, 4, 1))
+        r = rng.standard_normal(xv.shape)
+        outs = []
+        for forward in CLAMPED_AND_OLD_FORMS[name]:
+            x = Tensor(xv, requires_grad=True)
+            with GradientTape() as tape:
+                y = forward(x)
+                loss = ops.reduce_sum(ops.multiply(y, r))
+            outs.append((y.data.tobytes(), tape.gradient(loss, [x])[0].tobytes()))
+        assert outs[0] == outs[1]
 
 
 class TestPredictions:

@@ -3,6 +3,7 @@ mode against hand derivatives, and the recording semantics of the tape."""
 
 import threading
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -268,6 +269,21 @@ class TestElementwise:
         s = 1 / (1 + np.exp(-x.data))
         assert np.all((s > 0) & (s < 1))
         assert np.allclose(g, s * (1 - s))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_extremes_match_expit(self, dtype):
+        from scipy.special import expit
+        mags = np.array([0.0, 1.0, 20.0, 88.8, 89.0, 710.0, 1e4, np.inf])
+        x = np.concatenate([mags, -mags]).astype(dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = ops.sigmoid(Tensor(x)).data
+        assert y.dtype == dtype
+        assert np.all((y >= 0) & (y <= 1)) and y[0] == 0.5
+        # expit underflows to 0 at -89 (float32) and -710 (float64), where
+        # this form still gives a subnormal
+        info = np.finfo(dtype)
+        np.testing.assert_allclose(y, expit(x), rtol=8 * info.eps, atol=info.tiny)
 
     def test_float32_stays_float32(self):
         a = Tensor(np.ones(3, dtype=np.float32))
