@@ -5,18 +5,19 @@ GradientTape is active and some input participates in differentiation,
 records vector-Jacobian closures on the tape.  Outputs keep the dtype of
 their inputs (float64 for verification paths, float32 for training paths).
 
-Each op has one form: conv2d pads "same", softmax runs along the last axis
-and batch_norm is the training op; eval batch norm is ``fold_batch_norm``,
-which ``backbone.conv_bn`` folds into the conv before it.
+Each op has one form: conv2d pads "same" and runs every pass as one
+streamed im2col matmul, softmax runs along the last axis and batch_norm is
+the training op; eval batch norm is ``fold_batch_norm``, which
+``backbone.conv_bn`` folds into the conv before it.
 """
 
 from __future__ import annotations
 
-import math
+from functools import reduce
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import BatchSizeError, ShapeError
 from .tensor import Tensor, active_tape, as_tensor
@@ -258,43 +259,77 @@ def capsule_votes(w, u) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution (NHWC layout, [kh, kw, c_in, c_out] kernels)
 
-def _conv_geometry(h: int, w: int, kh: int, kw: int, stride: int):
-    """Output size and (top, bottom, left, right) zero padding of a "same"
-    convolution: a side n maps to ceil(n / stride)."""
-    ho = math.ceil(h / stride)
-    wo = math.ceil(w / stride)
-    pad_h = max((ho - 1) * stride + kh - h, 0)
-    pad_w = max((wo - 1) * stride + kw - w, 0)
-    top, left = pad_h // 2, pad_w // 2
-    return ho, wo, top, pad_h - top, left, pad_w - left
-
-
-def _pad_hw(x: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.ndarray:
-    """Zero-pad the spatial axes of an [N,H,W,C] array; no copy without padding."""
-    if not (top or bottom or left or right):
-        return x
-    n, h, w, c = x.shape
-    xp = np.zeros((n, h + top + bottom, w + left + right, c), dtype=x.dtype)
-    xp[:, top:top + h, left:left + w, :] = x
-    return xp
-
-
-# Bytes of im2col matrix an untracked 3x3 conv builds at a time: it streams
-# the batch through this in chunks of whole samples (at least one).
+# Bytes of window matrix a conv pass builds at a time: every pass streams its
+# batch through this in runs of whole samples, as many as fit (at least one).
 _IM2COL_BUDGET = 4 << 20
+
+
+def _im2col(xs: np.ndarray, kh: int, kw: int, stride: int, pads) -> np.ndarray:
+    """The [len(xs)·ho·wo, kh·kw·C] window matrix of a run of whole samples
+    zero-padded by ``pads`` (top, bottom, left, right; a negative pad crops).
+
+    Rows are output pixels, columns the taps in (i, j, c) order.  For a 1x1
+    kernel the rows are the sampled pixels, a view of ``xs`` at stride 1.
+    """
+    top, bottom, left, right = pads
+    if min(pads) < 0:
+        h, w = xs.shape[1:3]
+        xs = xs[:, max(-top, 0):h + min(bottom, 0), max(-left, 0):w + min(right, 0)]
+        top, bottom, left, right = (max(p, 0) for p in pads)
+    if top or bottom or left or right:
+        n, h, w, c = xs.shape
+        xp = np.zeros((n, h + top + bottom, w + left + right, c), dtype=xs.dtype)
+        xp[:, top:top + h, left:left + w] = xs
+        xs = xp
+    if kh == kw == 1:
+        return xs[:, ::stride, ::stride].reshape(-1, xs.shape[3])
+    n, h, w, c = xs.shape
+    sn, sh, sw, sc = xs.strides
+    windows = as_strided(xs, (n, (h - kh) // stride + 1, (w - kw) // stride + 1, kh, kw, c),
+                         (sn, stride * sh, stride * sw, sh, sw, sc), writeable=False)
+    return windows.reshape(-1, kh * kw * c)
+
+
+def _correlate(x: np.ndarray, w: np.ndarray, stride: int, pads, bias=None) -> np.ndarray:
+    """Cross-correlation of an [N,H,W,C] array, padded by ``pads``, with a
+    [kh,kw,C,F] kernel at ``stride``, plus an optional [F] ``bias``: each
+    run's window matrix times the kernel matrix."""
+    n, h, wd, _ = x.shape
+    kh, kw, c, f = w.shape
+    ho = (h + pads[0] + pads[1] - kh) // stride + 1
+    wo = (wd + pads[2] + pads[3] - kw) // stride + 1
+    rows, wmat = ho * wo, w.reshape(kh * kw * c, f)
+    out = np.empty((n, ho, wo, f), dtype=np.result_type(x.dtype, w.dtype))
+    flat = out.reshape(n * rows, f)
+    run = max(1, _IM2COL_BUDGET // (rows * wmat.shape[0] * x.itemsize))
+    for s in range(0, n, run):
+        dst = flat[s * rows:(s + run) * rows]
+        np.matmul(_im2col(x[s:s + run], kh, kw, stride, pads), wmat, out=dst)
+        if bias is not None:
+            dst += bias
+    return out
+
+
+def _phase(r: int, pad: int, k: int, size: int, size_out: int, stride: int):
+    """Along one axis of a conv padded by ``pad`` in front, input pixels
+    r, r + stride, ... meet the taps t, t + stride, ...  Returns t and the
+    (front, back) padding of the cotangent under which those taps, flipped,
+    are a stride-1 correlation whose outputs are exactly those pixels."""
+    t, q = (r + pad) % stride, (r + pad) // stride
+    return t, len(range(t, k, stride)) - 1 - q, len(range(r, size, stride)) + q - size_out
 
 
 def conv2d(x, w, stride: int = 1, bias=None) -> Tensor:
     """Same-padded 2D cross-correlation of an [N,H,W,C] batch with a
     [kh,kw,C,F] kernel, plus an optional per-channel [F] ``bias``.
 
-    A tracked call (a tape is active and ``x``, ``w`` or ``bias`` requires
-    grad) builds the im2col matrix of the whole batch in one piece, and its
-    kernel gradient builds it again in backward from ``x``'s array: between
-    forward and backward the conv holds its input, not the kh·kw times
-    larger matrix (recompute instead of store; Chen et al., 2016).  An
-    untracked call builds the matrix ``_IM2COL_BUDGET`` bytes at a time, so
-    its memory is the output plus a bounded buffer.
+    Every pass, for every kernel size and stride, tracked or not, is
+    ``_correlate``'s streamed im2col matmul, so it holds its result plus
+    about ``_IM2COL_BUDGET`` bytes of window matrix.  The input gradient is
+    the transposed convolution of the cotangent (Dumoulin & Visin, 2016),
+    one stride-1 correlation per input phase modulo the stride; the kernel
+    gradient rebuilds the windows from ``x``'s array instead of storing them
+    (recompute instead of store; Chen et al., 2016).
     """
     x, w = as_tensor(x), as_tensor(w)
     b = None if bias is None else as_tensor(bias)
@@ -310,85 +345,45 @@ def conv2d(x, w, stride: int = 1, bias=None) -> Tensor:
         raise ShapeError(f"input has {c} channels but kernel expects {c_in}")
     if b is not None and b.shape != (c_out,):
         raise ShapeError(f"conv2d bias must be [{c_out}], got shape {b.shape}")
-    ho, wo, pt, pb, pl, pr = _conv_geometry(h, wd, kh, kw, stride)
-    if kh == kw == 1:
-        return _conv2d_1x1(x, w, b, stride)
-
-    tracked = active_tape() is not None and any(
-        t is not None and t.requires_grad for t in (x, w, b))
-    rows, k = ho * wo, kh * kw * c
-    xd, wmat = x.data, w.data.reshape(k, c_out)
-
-    def im2col(xs):
-        """The [len(xs)·rows, k] window matrix of a run of whole samples."""
-        xp = _pad_hw(xs, pt, pb, pl, pr)
-        windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-        cols = np.ascontiguousarray(windows[:, :ho, :wo].transpose(0, 1, 2, 4, 5, 3))
-        return cols.reshape(len(xs) * rows, k)
-
-    data = np.empty((n, ho, wo, c_out), dtype=np.result_type(x.dtype, w.dtype))
-    out = data.reshape(n * rows, c_out)
-    chunk = n if tracked else max(1, _IM2COL_BUDGET // (rows * k * x.dtype.itemsize))
-    for s in range(0, n, chunk):
-        e = min(s + chunk, n)
-        dst = out[s * rows:e * rows]
-        np.matmul(im2col(xd[s:e]), wmat, out=dst)
-        if b is not None:
-            dst += b.data
-    padded_shape = (n, h + pt + pb, wd + pl + pr, c)
+    # "same": a side n maps to ceil(n / stride)
+    pad_h = max((-(-h // stride) - 1) * stride + kh - h, 0)
+    pad_w = max((-(-wd // stride) - 1) * stride + kw - wd, 0)
+    pads = (pad_h // 2, pad_h - pad_h // 2, pad_w // 2, pad_w - pad_w // 2)
+    xd, wdat = x.data, w.data
+    data = _correlate(xd, wdat, stride, pads, None if b is None else b.data)
+    ho, wo = data.shape[1:3]
 
     def vjp_x(g):
-        gmat = g.reshape(n * rows, c_out)
-        gcols = (gmat @ wmat.T).reshape(n, ho, wo, kh, kw, c)
-        gx = np.zeros(padded_shape, dtype=g.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                gx[:, i:i + (ho - 1) * stride + 1:stride,
-                   j:j + (wo - 1) * stride + 1:stride, :] += gcols[:, :, :, i, j, :]
-        return gx[:, pt:pt + h, pl:pl + wd, :]
+        # Input pixels (r::s, q::s) meet only the taps w[ti::s, tj::s], none
+        # when the kernel is smaller than the stride; at stride 1 the one
+        # phase is the whole gradient.
+        gx = None if stride == 1 else np.zeros((n, h, wd, c), dtype=g.dtype)
+        for r in range(min(stride, h)):
+            ti, top, bottom = _phase(r, pads[0], kh, h, ho, stride)
+            for q in range(min(stride, wd)):
+                tj, left, right = _phase(q, pads[2], kw, wd, wo, stride)
+                sub = wdat[ti::stride, tj::stride]
+                if sub.size == 0:
+                    continue
+                part = _correlate(g, sub[::-1, ::-1].transpose(0, 1, 3, 2), 1,
+                                  (top, bottom, left, right))
+                if gx is None:
+                    return part
+                gx[:, r::stride, q::stride] = part
+        return gx
 
     def vjp_w(g):
-        # The whole batch in one piece, as a tracked forward built it.
+        rows = ho * wo
         gmat = g.reshape(n * rows, c_out)
-        return (im2col(xd).T @ gmat).reshape(kh, kw, c_in, c_out)
+        run = max(1, _IM2COL_BUDGET // (rows * kh * kw * c * xd.itemsize))
+        return reduce(np.add, (
+            _im2col(xd[s:s + run], kh, kw, stride, pads).T @ gmat[s * rows:(s + run) * rows]
+            for s in range(0, n, run))).reshape(kh, kw, c_in, c_out)
 
-    return _make(data, [(x, vjp_x), (w, vjp_w)] + _bias_pair(b))
-
-
-def _bias_pair(b: Optional[Tensor]) -> list:
-    """The (bias, vjp) pair of a conv's optional bias: its gradient sums the
-    cotangent over batch and pixels."""
-    return [] if b is None else [(b, lambda g: g.sum(axis=(0, 1, 2)))]
-
-
-def _conv2d_1x1(x: Tensor, w: Tensor, b: Optional[Tensor], stride: int) -> Tensor:
-    """A 1x1 convolution is one matmul over the pixels it samples.
-
-    A same-padded 1x1 kernel pads nothing, so there is no window to gather
-    and no col2im in backward.
-    """
-    n, h, wd, c = x.shape
-    c_out = w.shape[3]
-    xs = x.data if stride == 1 else x.data[:, ::stride, ::stride]
-    ho, wo = xs.shape[1:3]
-    cols = xs.reshape(n * ho * wo, c)  # a copy only when strided
-    wmat = w.data.reshape(c, c_out)
-    data = (cols @ wmat).reshape(n, ho, wo, c_out)
+    pairs = [(x, vjp_x), (w, vjp_w)]
     if b is not None:
-        data += b.data
-
-    def vjp_x(g):
-        gx = (g.reshape(n * ho * wo, c_out) @ wmat.T).reshape(n, ho, wo, c)
-        if stride == 1:
-            return gx
-        full = np.zeros((n, h, wd, c), dtype=gx.dtype)
-        full[:, ::stride, ::stride, :] = gx
-        return full
-
-    def vjp_w(g):
-        return (cols.T @ g.reshape(n * ho * wo, c_out)).reshape(1, 1, c, c_out)
-
-    return _make(data, [(x, vjp_x), (w, vjp_w)] + _bias_pair(b))
+        pairs.append((b, lambda g: g.sum(axis=(0, 1, 2))))
+    return _make(data, pairs)
 
 
 # ---------------------------------------------------------------------------

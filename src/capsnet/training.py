@@ -136,15 +136,16 @@ def train_epoch(model: CapsuleClassifier, state: TrainState,
     for batch in iter_batches(x.shape[0], cfg.batch_size, rng, min_size=2):
         xb, yb = x[batch], targets[batch]
         # The forward pass advances the batch-norm stats; ``update`` rebinds
-        # the arrays, so these references restore them if the step fails.
+        # the arrays, so these references restore them if any part of the
+        # step fails, from forward to ``sgd_step``.
         saved = {k: (s.mean, s.var) for k, s in state.stats.items()}
-        with GradientTape() as tape:
-            out = model.forward(state.params, state.stats, xb, training=True)
-            loss = cross_entropy_loss(out.probs, yb)
-        grad_list = tape.gradient(loss, [state.params[n] for n in names])
         try:
+            with GradientTape() as tape:
+                out = model.forward(state.params, state.stats, xb, training=True)
+                loss = cross_entropy_loss(out.probs, yb)
+            grad_list = tape.gradient(loss, [state.params[n] for n in names])
             sgd_step(state, dict(zip(names, grad_list)), lr)
-        except TrainingDivergenceError:
+        except BaseException:
             for k, (mean, var) in saved.items():
                 state.stats[k].mean, state.stats[k].var = mean, var
             raise

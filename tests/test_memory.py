@@ -90,6 +90,26 @@ def test_tracked_3x3_conv_keeps_its_input_not_the_window_matrix(rng):
     assert gw.tobytes() == ref.tobytes()
 
 
+def test_tracked_3x3_conv_backward_streams_its_windows():
+    # col2im would build the [n·h·w, 9·c] window gradient, 9x the input, and
+    # the kernel gradient the whole batch's window matrix
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        x = Tensor(rng.standard_normal((64, 32, 32, 64), dtype=np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 3, 64, 128), dtype=np.float32), requires_grad=True)
+        with GradientTape() as tape:
+            y = ops.conv2d(x, w)
+            loss = ops.reduce_sum(y)
+        gx, gw = tape.gradient(loss, [x, w])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # input, output, reduce_sum's cotangent, the gradients and one budget
+    held = x.data.nbytes + 2 * y.data.nbytes + gx.nbytes + gw.nbytes
+    assert peak < 1.1 * (held + ops._IM2COL_BUDGET)
+
+
 def test_blobs_train_step_peak_memory():
     model = CapsuleClassifier(ModelConfig(**BLOBS_MODEL))
     state = init_train_state(model, TrainConfig(epochs=1, batch_size=64, seed=0))

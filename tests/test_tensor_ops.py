@@ -387,6 +387,39 @@ def conv2d_loop_reference(x, w, stride):
     return out
 
 
+def conv2d_col2im_vjps(x, w, stride, g):
+    """Float64 oracle of conv2d's gradients from the stored window matrix:
+    tap by tap, the kernel gradient sums windows times ``g`` and the input
+    gradient scatters ``g @ w.T`` back onto the padded input (col2im)."""
+    n, h, wd, c = x.shape
+    kh, kw, _, co = w.shape
+    _, ho, wo, _ = g.shape
+    ph = max((ho - 1) * stride + kh - h, 0)
+    pw = max((wo - 1) * stride + kw - wd, 0)
+    xp = np.pad(x, ((0, 0), (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2), (0, 0)))
+    gmat = g.reshape(-1, co)
+    gcols = (gmat @ w.reshape(-1, co).T).reshape(n, ho, wo, kh, kw, c)
+    gx, gw = np.zeros(xp.shape), np.zeros(w.shape)
+    for i in range(kh):
+        for j in range(kw):
+            taps = (slice(None), slice(i, i + (ho - 1) * stride + 1, stride),
+                    slice(j, j + (wo - 1) * stride + 1, stride))
+            gw[i, j] = xp[taps].reshape(-1, c).T @ gmat
+            gx[taps] += gcols[:, :, :, i, j]
+    return gx[:, ph // 2:ph // 2 + h, pw // 2:pw // 2 + wd], gw
+
+
+def adjoint_cases():
+    """Kernels, strides and input sizes of the adjoint test; the first six
+    keep the ids they had when the test covered 3x3 kernels only."""
+    for k in [(3, 3), (1, 1), (2, 2), (1, 3), (5, 5)]:
+        for i, hw in enumerate([(7, 9), (8, 6), (1, 1), (2, 7)]):
+            for stride in (1, 2, 3, 4):
+                old = k == (3, 3) and i < 2 and stride < 4
+                yield pytest.param(k, stride, hw, id=f"hw{i}-{stride}-same" if old else
+                                   f"{k[0]}x{k[1]}-{hw[0]}x{hw[1]}-{stride}-same")
+
+
 # conv2d always pads "same"; the case ids below still name it.
 class TestConv2d:
     @pytest.mark.parametrize("stride,hw", [(1, (5, 5)), (2, (5, 7)), (2, (8, 8))],
@@ -439,24 +472,25 @@ class TestConv2d:
             wm_[j] -= h
             assert abs((f(x, wp_) - f(x, wm_)) / (2 * h) - gw[j]) < 1e-6
 
-    @pytest.mark.parametrize("stride", [1, 2, 3], ids=lambda s: f"{s}-same")
-    @pytest.mark.parametrize("hw", [(7, 9), (8, 6)])
-    def test_backward_is_adjoint_of_loop_reference(self, rng, stride, hw):
+    @pytest.mark.parametrize("k,stride,hw", adjoint_cases())
+    def test_backward_is_adjoint_of_loop_reference(self, rng, k, stride, hw):
         # conv is linear in x and in w, so <conv(x, w), g> = <x, vjp_x(g)>
-        # = <w, vjp_w(g)> for every cotangent g
+        # = <w, vjp_w(g)> for every cotangent g; each vjp also matches the
+        # stored-window oracle
         x = rng.standard_normal((2, hw[0], hw[1], 3))
-        w = rng.standard_normal((3, 3, 3, 5))
+        w = rng.standard_normal((*k, 3, 5))
         ref = conv2d_loop_reference(x, w, stride)
         g = rng.standard_normal(ref.shape)
         tx, tw = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
         with GradientTape() as tape:
             y = ops.reduce_sum(ops.multiply(
                 ops.conv2d(tx, tw, stride=stride), Tensor(g)))
-        gx, gw = tape.gradient(y, [tx, tw])
+        grads = tape.gradient(y, [tx, tw])
         forward = np.sum(ref * g)
-        for arg, grad in ((x, gx), (w, gw)):
+        for arg, grad, oracle in zip((x, w), grads, conv2d_col2im_vjps(x, w, stride, g)):
             assert grad.shape == arg.shape
             assert abs(np.sum(arg * grad) - forward) <= 1e-12 * abs(forward)
+            assert np.max(np.abs(grad - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
 
     @pytest.mark.parametrize("stride", [1, 2, 3], ids=lambda s: f"{s}-same")
     @pytest.mark.parametrize("hw", [(5, 7), (6, 8)])
@@ -516,24 +550,38 @@ class TestConv2d:
         (5, 2, 2),
     ], ids=["7-3-1-same", "2-5-1-same", "5-2-2-same"])
     def test_streamed_forward_matches_full_buffer(self, rng, monkeypatch, n, chunk, stride):
+        # every pass streams, tracked or not: under a budget of `chunk`
+        # samples both forwards build one window matrix per run, and the
+        # output and both gradients match a single run of the whole batch
         x = rng.standard_normal((n, 7, 6, 3))
         w = rng.standard_normal((3, 3, 3, 4))
         b = rng.standard_normal(4)
-        ho, wo = ops._conv_geometry(7, 6, 3, 3, stride)[:2]
-        monkeypatch.setattr(ops, "_IM2COL_BUDGET", chunk * ho * wo * 27 * x.itemsize)
-        gathers = []
-        window_view = ops.sliding_window_view
-        monkeypatch.setattr(ops, "sliding_window_view",
-                            lambda *a, **k: gathers.append(1) or window_view(*a, **k))
-        streamed = ops.conv2d(Tensor(x), Tensor(w), stride, bias=Tensor(b)).data
-        assert len(gathers) == -(-n // chunk)
-        with GradientTape():  # tracked: one chunk of the whole batch
-            full = ops.conv2d(Tensor(x, requires_grad=True), Tensor(w), stride,
-                              bias=Tensor(b)).data
-        assert len(gathers) == -(-n // chunk) + 1
-        assert np.max(np.abs(streamed - full)) <= 1e-12
+        ho, wo = -(-7 // stride), -(-6 // stride)
+        g = rng.standard_normal((n, ho, wo, 4))
+        builds = []
+        im2col = ops._im2col
+        monkeypatch.setattr(ops, "_im2col", lambda xs, *a: builds.append(len(xs)) or im2col(xs, *a))
+
+        def passes(budget):
+            monkeypatch.setattr(ops, "_IM2COL_BUDGET", budget)
+            builds.clear()
+            untracked = ops.conv2d(Tensor(x), Tensor(w), stride, bias=Tensor(b)).data
+            tx, tw = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+            with GradientTape() as tape:
+                y = ops.conv2d(tx, tw, stride, bias=Tensor(b))
+                forward_builds = list(builds)
+                loss = ops.reduce_sum(ops.multiply(y, Tensor(g)))
+            return forward_builds, [untracked, y.data, *tape.gradient(loss, [tx, tw])]
+
+        runs = [min(chunk, n - s) for s in range(0, n, chunk)]
+        forward_builds, streamed = passes(chunk * ho * wo * 27 * x.itemsize)
+        assert forward_builds == runs + runs
+        forward_builds, whole = passes(1 << 40)
+        assert forward_builds == [n, n]
+        for part, full in zip(streamed, whole):
+            assert np.max(np.abs(part - full)) <= 1e-12
         ref = conv2d_loop_reference(x, w, stride) + b
-        assert np.max(np.abs(streamed - ref)) <= 1e-12
+        assert np.max(np.abs(streamed[0] - ref)) <= 1e-12
 
     def test_untracked_3x3_peak_memory_is_bounded(self):
         # The im2col matrix of the whole batch would be 9x the input; an

@@ -4,7 +4,7 @@ determinism of the epoch machinery."""
 import numpy as np
 import pytest
 
-from capsnet import (CapsuleClassifier, ModelConfig, TrainConfig, Tensor,
+from capsnet import (CapsuleClassifier, GradientTape, ModelConfig, TrainConfig, Tensor,
                      accuracy, cross_entropy_loss, evaluate, fit,
                      init_train_state, one_hot, read_history_csv, sgd_step,
                      step_lr, train_epoch, write_history_csv)
@@ -171,19 +171,27 @@ class TestEpochLoop:
         assert last < first
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_divergent_step_leaves_bn_stats_untouched(self):
-        # the forward pass advances the running stats before sgd_step can
-        # raise; a failed step must put every (mean, var) back bit for bit
+    @pytest.mark.parametrize("failure", ["sgd_step-diverges", "backward-out-of-memory"])
+    def test_divergent_step_leaves_bn_stats_untouched(self, monkeypatch, failure):
+        # the forward pass advances the running stats before backward or
+        # sgd_step can raise; a failed step must put every (mean, var) back
+        # bit for bit
         model = CapsuleClassifier(ModelConfig(
             input_shape=(16, 16, 1), num_classes=4,
             stem_widths=(8, 16, 16, 32), stage_depths=(1, 1, 1)))
+        error, lr = TrainingDivergenceError, 1e40
+        if failure == "backward-out-of-memory":
+            def out_of_memory(tape, loss, sources):
+                raise MemoryError("injected in backward")
+            monkeypatch.setattr(GradientTape, "gradient", out_of_memory)
+            error, lr = MemoryError, 0.01
         state = init_train_state(model, TrainConfig(epochs=1, batch_size=16,
-                                                    base_lr=1e40, seed=0))
+                                                    base_lr=lr, seed=0))
         x, y = make_blobs(16, num_classes=4, image_size=16, seed=0)
         params = dict(state.params)
         before = {k: (s.mean.tobytes(), s.var.tobytes()) for k, s in state.stats.items()}
         assert len(before) == 13
-        with pytest.raises(TrainingDivergenceError):
+        with pytest.raises(error):
             train_epoch(model, state, x, y)
         assert state.params == params
         for k, (mean, var) in before.items():
