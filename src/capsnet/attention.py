@@ -40,6 +40,20 @@ def default_se_ratio(channels: int) -> int:
     return 1
 
 
+def _excite(pooled, w1, b1, w2, b2) -> Tensor:
+    """The squeeze-excite gate of pooled [N,C] features:
+    sigmoid(W2 relu(W1 pooled + b1) + b2)."""
+    hidden = ops.relu(ops.dense(pooled, w1, b1))
+    return ops.sigmoid(ops.dense(hidden, w2, b2))
+
+
+def _excite_reference(pooled: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
+    """Straight-line numpy oracle for :func:`_excite`, in float64."""
+    from scipy.special import expit
+    hidden = np.maximum(pooled @ np.asarray(w1, np.float64) + np.asarray(b1, np.float64), 0.0)
+    return expit(hidden @ np.asarray(w2, np.float64) + np.asarray(b2, np.float64))
+
+
 def se_block(x, w1, b1, w2, b2) -> Tensor:
     """Channel-gated feature map: x * sigmoid(W2 relu(W1 avgpool(x) + b1) + b2).
 
@@ -55,9 +69,7 @@ def se_block(x, w1, b1, w2, b2) -> Tensor:
     if w1.shape[0] != c or w2.shape[1] != c or w1.shape[1] != w2.shape[0]:
         raise ShapeError(
             f"SE weights {w1.shape} and {w2.shape} do not form a {c}->hidden->{c} bottleneck")
-    pooled = ops.reduce_mean(x, axis=(1, 2))
-    hidden = ops.relu(ops.dense(pooled, w1, b1))
-    gate = ops.sigmoid(ops.dense(hidden, w2, b2))
+    gate = _excite(ops.reduce_mean(x, axis=(1, 2)), w1, b1, w2, b2)
     n = x.shape[0]
     return ops.multiply(x, ops.reshape(gate, (n, 1, 1, c)))
 
@@ -65,12 +77,8 @@ def se_block(x, w1, b1, w2, b2) -> Tensor:
 def se_block_reference(x: np.ndarray, w1: np.ndarray, b1: np.ndarray,
                        w2: np.ndarray, b2: np.ndarray) -> np.ndarray:
     """Straight-line numpy oracle for :func:`se_block` (no tensor engine)."""
-    from scipy.special import expit
     x = np.asarray(x, dtype=np.float64)
-    pooled = x.mean(axis=(1, 2))
-    hidden = pooled @ np.asarray(w1, dtype=np.float64) + np.asarray(b1, dtype=np.float64)
-    hidden = np.maximum(hidden, 0.0)
-    gate = expit(hidden @ np.asarray(w2, dtype=np.float64) + np.asarray(b2, dtype=np.float64))
+    gate = _excite_reference(x.mean(axis=(1, 2)), w1, b1, w2, b2)
     return x * gate[:, None, None, :]
 
 
@@ -102,9 +110,7 @@ def attention_capsules(poses, agreements, w1, b1, w2, b2) -> AttentionResult:
     if j < 2:
         raise ConfigError(f"attention over classes needs at least 2 classes, got {j}")
 
-    pooled = ops.reduce_mean(poses, axis=-1)            # [B,J]
-    hidden = ops.relu(ops.dense(pooled, w1, b1))        # [B,J/r]
-    gate = ops.sigmoid(ops.dense(hidden, w2, b2))       # [B,J]
+    gate = _excite(ops.reduce_mean(poses, axis=-1), w1, b1, w2, b2)   # [B,J]
     gated_poses = ops.multiply(poses, ops.reshape(gate, (b_, j, 1)))
     gated_agree = ops.multiply(gate, agreements)
     activations = ops.softmax(gated_agree)
@@ -115,12 +121,9 @@ def attention_capsules_reference(poses: np.ndarray, agreements: np.ndarray,
                                  w1: np.ndarray, b1: np.ndarray,
                                  w2: np.ndarray, b2: np.ndarray):
     """Straight-line numpy oracle for :func:`attention_capsules` ([B,J,k] poses)."""
-    from scipy.special import expit
     poses = np.asarray(poses, dtype=np.float64)
     agreements = np.asarray(agreements, dtype=np.float64)
-    pooled = poses.mean(axis=-1)
-    hidden = np.maximum(pooled @ np.asarray(w1, np.float64) + np.asarray(b1, np.float64), 0.0)
-    gate = expit(hidden @ np.asarray(w2, np.float64) + np.asarray(b2, np.float64))
+    gate = _excite_reference(poses.mean(axis=-1), w1, b1, w2, b2)
     gated_poses = poses * gate[..., None]
     logits = gate * agreements
     shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))

@@ -1,34 +1,35 @@
-"""Checkpoints: a manifest.json plus one little-endian binary blob.
+"""Checkpoints: one file, a JSON header followed by every array.
 
-The manifest records the model and training configs, the epoch counter,
-and a table of tensor entries (name, section, shape, dtype, byte offset,
-byte length) into ``params.bin``; the blob's SHA-256 is stored so
-corruption surfaces as :class:`CheckpointError` rather than silent drift.
-Arrays are written with ``tobytes()`` and read back bit-exactly.
+The file holds an 8-byte little-endian header length, the UTF-8 JSON header
+(``format_version``, ``epoch``, ``model_config``, ``train_config`` and
+``payload_sha256``), then the payload: every array, little-endian, params by
+name, then each batch norm's mean and variance by name, then velocities by
+name.  It stores no names, shapes or dtypes: :func:`_layout` derives them
+from the model config, and save and load both use it.  The payload's
+SHA-256 makes corruption surface as :class:`CheckpointError` rather than
+silent drift.  Arrays are written with ``tobytes()`` and read back
+bit-exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
-from typing import Union
 
 import numpy as np
 
 from .config import ModelConfig, TrainConfig
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError
 from .model import CapsuleClassifier
 from .ops import RunningStats
 from .tensor import Tensor
 from .training import TrainState
 
-FORMAT_VERSION = 1
-MANIFEST_NAME = "manifest.json"
-BLOB_NAME = "params.bin"
-
-_ALLOWED_DTYPES = ("<f4", "<f8")
+FORMAT_VERSION = 2
+_HEADER_KEYS = ("format_version", "epoch", "model_config", "train_config", "payload_sha256")
 
 
 def _is_count(value) -> bool:
@@ -36,35 +37,30 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _check_layout(section: str, got: dict, want: dict) -> None:
-    """``got`` must map the names of ``want`` to the same shapes."""
-    if got == want:
-        return
-    missing = sorted(want.keys() - got.keys())
-    extra = sorted(got.keys() - want.keys())
-    reshaped = sorted(n for n in want.keys() & got.keys() if got[n] != want[n])
-    raise CheckpointError(
-        f"{section} entries do not match the model config: missing {missing[:3]}, "
-        f"unexpected {extra[:3]}, wrong shape {reshaped[:3]}")
+def _arrays(params: dict, stats: dict, velocity: dict) -> list:
+    """Every (section, name, array), in payload order: params by name, then
+    each batch norm's mean and variance by name, then velocities by name."""
+    arrays = [("param", name, params[name].data) for name in sorted(params)]
+    for name in sorted(stats):
+        arrays += [("bn_mean", name, stats[name].mean), ("bn_var", name, stats[name].var)]
+    return arrays + [("velocity", name, velocity[name]) for name in sorted(velocity)]
 
 
-def _entries(state: TrainState):
-    """Deterministic (section, name, array) order: params, stats, velocity."""
-    for name in sorted(state.params):
-        yield "param", name, state.params[name].data
-    for name in sorted(state.stats):
-        yield "bn_mean", name, state.stats[name].mean
-        yield "bn_var", name, state.stats[name].var
-    for name in sorted(state.velocity):
-        yield "velocity", name, state.velocity[name]
+def _layout(model_config: ModelConfig) -> tuple[list, np.dtype]:
+    """The (section, name, shape) list of the arrays ``model_config``
+    builds, in payload order, and their little-endian dtype."""
+    params, stats = CapsuleClassifier(model_config).init_params()
+    velocity = {name: t.data for name, t in params.items()}
+    return ([(section, name, arr.shape) for section, name, arr in _arrays(params, stats, velocity)],
+            np.dtype(model_config.dtype).newbyteorder("<"))
 
 
-def _write_synced(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` and force it to the disk."""
-    with open(path, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
+def _refuse_directory(path: Path) -> None:
+    """A checkpoint is one file; a directory at ``path`` is most likely format 1."""
+    if path.is_dir():
+        raise CheckpointError(f"{path} is a directory, not a checkpoint file: a format-1 "
+                              "checkpoint directory (manifest.json and params.bin) no "
+                              "longer loads")
 
 
 def _sync_dir(path: Path) -> None:
@@ -77,160 +73,106 @@ def _sync_dir(path: Path) -> None:
 
 
 def save_checkpoint(path, model_config: ModelConfig, state: TrainState) -> None:
-    """Write ``manifest.json`` and ``params.bin`` into directory ``path``.
+    """Write ``state`` to the file ``path``.
 
-    Both files are first written under temporary names in ``path``, flushed
-    and fsynced, and then moved into place with ``os.replace``, blob first;
-    the directory is fsynced after the second replace.  So a save that
-    fails while writing leaves the previous checkpoint as it was, and a
-    power loss after the replaces cannot leave a renamed file without its
-    bytes.  One window remains: a crash between the two replaces pairs the
-    new blob with the old manifest, which :func:`load_checkpoint` rejects
-    by the blob's SHA-256.
+    The state must hold the arrays, shapes and dtype that ``model_config``
+    builds; otherwise nothing is written.  The file is written whole under
+    ``path.tmp``, fsynced, moved into place with one ``os.replace``, and
+    the directory is fsynced.  So a save that fails leaves the previous
+    checkpoint as it was, and a finished save survives a power loss.
     """
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    chunks: list[bytes] = []
-    table = []
-    offset = 0
-    for section, name, arr in _entries(state):
-        arr = np.ascontiguousarray(arr)
-        dtype = arr.dtype.newbyteorder("<")
-        raw = arr.astype(dtype, copy=False).tobytes()
-        table.append({
-            "name": name,
-            "section": section,
-            "shape": list(arr.shape),
-            "dtype": dtype.str,
-            "offset": offset,
-            "nbytes": len(raw),
-        })
-        chunks.append(raw)
-        offset += len(raw)
-    blob = b"".join(chunks)
-    manifest = {
+    _refuse_directory(path)
+    want, dtype = _layout(model_config)
+    arrays = _arrays(state.params, state.stats, state.velocity)
+    got = [(section, name, arr.shape) for section, name, arr in arrays]
+    if got != want:
+        raise CheckpointError(
+            f"state does not match the model config: missing {sorted(set(want) - set(got))[:3]}, "
+            f"unexpected {sorted(set(got) - set(want))[:3]}")
+    wrong = [name for _, name, arr in arrays if arr.dtype != dtype]
+    if wrong:
+        raise CheckpointError(f"state arrays {wrong[:3]} are not {model_config.dtype}, "
+                              "the model config's dtype")
+    payload = b"".join(arr.astype(dtype, copy=False).tobytes() for _, _, arr in arrays)
+    header = json.dumps({
         "format_version": FORMAT_VERSION,
         "epoch": state.epoch,
         "model_config": model_config.to_dict(),
         "train_config": state.config.to_dict(),
-        "tensors": table,
-        "blob_bytes": len(blob),
-        "blob_sha256": hashlib.sha256(blob).hexdigest(),
-    }
-    tmp_blob, tmp_manifest = path / (BLOB_NAME + ".tmp"), path / (MANIFEST_NAME + ".tmp")
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+    }, sort_keys=True).encode()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
     try:
-        _write_synced(tmp_blob, blob)
-        _write_synced(tmp_manifest,
-                      (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
-        os.replace(tmp_blob, path / BLOB_NAME)
-        os.replace(tmp_manifest, path / MANIFEST_NAME)
-        _sync_dir(path)
+        with open(tmp, "wb") as fh:
+            fh.write(len(header).to_bytes(8, "little") + header)
+            fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+        _sync_dir(path.parent)
     finally:
-        tmp_blob.unlink(missing_ok=True)
-        tmp_manifest.unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, TrainState]:
-    """Rebuild configs and a TrainState bit-exactly from ``path``.
-
-    The params, batch-norm stats and velocities must have the names and
-    shapes that the manifest's ``model_config`` builds."""
+    """Rebuild configs and a TrainState bit-exactly from the file ``path``."""
     path = Path(path)
-    manifest_path = path / MANIFEST_NAME
-    blob_path = path / BLOB_NAME
-    if not manifest_path.exists() or not blob_path.exists():
-        raise CheckpointError(f"{path} is not a checkpoint directory "
-                              f"(needs {MANIFEST_NAME} and {BLOB_NAME})")
+    _refuse_directory(path)
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        data = memoryview(path.read_bytes())
+    except OSError as e:
+        raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
+    end = 8 + int.from_bytes(data[:8], "little")
+    if len(data) < 8 or end > len(data):
+        raise CheckpointError(f"{path}: header length does not fit the file's "
+                              f"{len(data)} bytes")
+    payload = data[end:]
+    try:
+        header = json.loads(str(data[8:end], "utf-8"))
     except ValueError as e:  # not UTF-8, or not JSON
-        raise CheckpointError(f"{manifest_path}: invalid JSON: {e}") from e
-    if not isinstance(manifest, dict):
-        raise CheckpointError(f"{manifest_path}: must hold a JSON object")
-    for key in ("format_version", "epoch", "model_config", "train_config",
-                "tensors", "blob_bytes", "blob_sha256"):
-        if key not in manifest:
-            raise CheckpointError(f"{manifest_path}: missing key {key!r}")
-    if manifest["format_version"] != FORMAT_VERSION:
+        raise CheckpointError(f"{path}: header is not valid JSON: {e}") from e
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header must be a JSON object")
+    for key in _HEADER_KEYS:
+        if key not in header:
+            raise CheckpointError(f"{path}: header missing key {key!r}")
+    if header["format_version"] != FORMAT_VERSION:
         raise CheckpointError(
-            f"unsupported checkpoint format version {manifest['format_version']}")
-    blob = blob_path.read_bytes()
-    if len(blob) != manifest["blob_bytes"]:
-        raise CheckpointError(
-            f"{blob_path}: has {len(blob)} bytes, manifest says {manifest['blob_bytes']}")
-    digest = hashlib.sha256(blob).hexdigest()
-    if digest != manifest["blob_sha256"]:
-        raise CheckpointError(f"{blob_path}: SHA-256 mismatch (file {digest[:12]}..., "
-                              f"manifest {str(manifest['blob_sha256'])[:12]}...)")
+            f"unsupported checkpoint format version {header['format_version']!r}")
+    digest = hashlib.sha256(payload).hexdigest()
+    if digest != header["payload_sha256"]:
+        raise CheckpointError(f"{path}: payload SHA-256 mismatch (file {digest[:12]}..., "
+                              f"header {str(header['payload_sha256'])[:12]}...)")
 
-    if not _is_count(manifest["epoch"]):
-        raise CheckpointError(f"{manifest_path}: epoch must be an integer >= 0, "
-                              f"got {manifest['epoch']!r}")
+    if not _is_count(header["epoch"]):
+        raise CheckpointError(f"{path}: epoch must be an integer >= 0, "
+                              f"got {header['epoch']!r}")
     try:
-        model_config = ModelConfig.from_dict(manifest["model_config"])
-        train_config = TrainConfig.from_dict(manifest["train_config"])
-    except ConfigError:
-        raise
-    except (AttributeError, TypeError, ValueError) as e:  # not a dict, or a mistyped field
-        raise CheckpointError(f"{manifest_path}: malformed config: {e}") from e
-    if not isinstance(manifest["tensors"], list):
-        raise CheckpointError(f"{manifest_path}: tensors must be a list")
+        model_config = ModelConfig.from_dict(header["model_config"])
+        train_config = TrainConfig.from_dict(header["train_config"])
+    except AttributeError as e:  # a config that is not an object
+        raise CheckpointError(f"{path}: malformed config: {e}") from e
+    layout, dtype = _layout(model_config)
+    counts = [math.prod(shape) for _, _, shape in layout]
+    if len(payload) != sum(counts) * dtype.itemsize:
+        raise CheckpointError(f"{path}: payload has {len(payload)} bytes, the model "
+                              f"config's arrays take {sum(counts) * dtype.itemsize}")
 
-    params: dict[str, Tensor] = {}
-    means: dict[str, np.ndarray] = {}
-    variances: dict[str, np.ndarray] = {}
-    velocity: dict[str, np.ndarray] = {}
-    for entry in manifest["tensors"]:
-        if not isinstance(entry, dict):
-            raise CheckpointError(f"tensor entry must be an object: {entry!r}")
-        for key in ("name", "section", "shape", "dtype", "offset", "nbytes"):
-            if key not in entry:
-                raise CheckpointError(f"tensor entry missing key {key!r}: {entry}")
-        if not (isinstance(entry["name"], str) and isinstance(entry["shape"], list)
-                and all(_is_count(v) for v in [*entry["shape"], entry["offset"],
-                                               entry["nbytes"]])):
-            raise CheckpointError("tensor entry needs a string name and integers >= 0 "
-                                  f"for shape, offset and nbytes: {entry}")
-        if entry["dtype"] not in _ALLOWED_DTYPES:
-            raise CheckpointError(f"tensor {entry['name']!r} has unsupported dtype "
-                                  f"{entry['dtype']!r} (need one of {_ALLOWED_DTYPES})")
-        start, nbytes = entry["offset"], entry["nbytes"]
-        if start + nbytes > len(blob):
-            raise CheckpointError(f"tensor {entry['name']!r} extends past the blob")
-        dtype = np.dtype(entry["dtype"])
-        count = nbytes // dtype.itemsize
-        if count * dtype.itemsize != nbytes or count != int(np.prod(entry["shape"], dtype=np.int64)):
-            raise CheckpointError(f"tensor {entry['name']!r}: byte count does not match shape")
-        arr = np.frombuffer(blob, dtype=dtype, count=count, offset=start)
-        arr = arr.reshape(entry["shape"]).astype(dtype.newbyteorder("="), copy=True)
-        section = entry["section"]
-        if section == "param":
-            params[entry["name"]] = Tensor(arr, requires_grad=True)
-        elif section == "bn_mean":
-            means[entry["name"]] = arr
-        elif section == "bn_var":
-            variances[entry["name"]] = arr
-        elif section == "velocity":
-            velocity[entry["name"]] = arr
-        else:
-            raise CheckpointError(f"unknown tensor section {section!r}")
+    arrays, offset = {}, 0
+    for (section, name, shape), count in zip(layout, counts):
+        arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
+        arrays[section, name] = arr.reshape(shape).astype(dtype.newbyteorder("="))
+        offset += count * dtype.itemsize
 
-    if set(means) != set(variances):
-        raise CheckpointError("batch-norm mean/var entries do not pair up")
-    stats: dict[str, RunningStats] = {}
-    for name, mean in means.items():
-        if mean.ndim != 1 or variances[name].shape != mean.shape:
-            raise CheckpointError(f"batch-norm stats {name!r} must be two equal 1-D arrays")
-        rs = RunningStats(mean.shape[0], dtype=mean.dtype)
-        rs.load({"mean": mean, "var": variances[name]})
-        stats[name] = rs
-    want_params, want_stats = CapsuleClassifier(model_config).init_params()
-    param_shapes = {name: t.shape for name, t in want_params.items()}
-    _check_layout("param", {name: t.shape for name, t in params.items()}, param_shapes)
-    _check_layout("batch-norm", {name: rs.mean.shape for name, rs in stats.items()},
-                  {name: rs.mean.shape for name, rs in want_stats.items()})
-    _check_layout("velocity", {name: v.shape for name, v in velocity.items()}, param_shapes)
-
-    state = TrainState(params=params, stats=stats, velocity=velocity,
-                       epoch=manifest["epoch"], config=train_config)
+    def section(wanted: str) -> dict:
+        return {name: arr for (s, name), arr in arrays.items() if s == wanted}
+    stats = {}
+    for name, mean in section("bn_mean").items():
+        stats[name] = RunningStats(len(mean), dtype=mean.dtype)
+        stats[name].load({"mean": mean, "var": arrays["bn_var", name]})
+    params = {name: Tensor(arr, requires_grad=True) for name, arr in section("param").items()}
+    state = TrainState(params=params, stats=stats, velocity=section("velocity"),
+                       epoch=header["epoch"], config=train_config)
     return model_config, state

@@ -130,9 +130,9 @@ def _model_config(args, input_shape, num_classes) -> ModelConfig:
     overrides["num_classes"] = int(num_classes)
     try:
         return ModelConfig.from_dict(overrides)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as e:  # a field of the wrong type, e.g. a bare int
+    except ConfigError as e:
+        if source is None:
+            raise
         raise ConfigError(f"invalid --model-config {source}: {e}") from e
 
 

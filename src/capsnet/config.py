@@ -6,7 +6,9 @@ through JSON-friendly dicts (used by checkpoints and the command line).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
+from numbers import Integral, Real
 
 from .backbone import BLOCK_VARIANTS
 from .errors import ConfigError
@@ -20,6 +22,38 @@ DTYPES = ("float32", "float64")
 _REMOVED_MODEL_FIELDS = {"stage_widths": None, "primary_caps_channels": None,
                          "se_ratio": None, "wide_plan": "quarter_half"}
 _REMOVED_TRAIN_FIELDS = {"shuffle": True}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+# What each annotated field type accepts, and how an error names it.
+_ACCEPTS = {
+    "int": ("an integer", _is_int),
+    "float": ("a finite number",
+              lambda v: isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple": ("a list of integers",
+              lambda v: isinstance(v, (list, tuple)) and all(_is_int(x) for x in v)),
+}
+
+
+def _check_types(config) -> None:
+    """Raise ConfigError unless each field holds its annotated type (a bool
+    is neither an integer nor a number, and 8.0 is not an integer), then
+    make the integer fields plain ints and the tuple fields tuples of them."""
+    for f in fields(config):
+        kind = f.type.split("[")[0]  # annotations are strings here, e.g. "tuple[int, ...]"
+        value = getattr(config, f.name)
+        want, accepts = _ACCEPTS[kind]
+        if not accepts(value):
+            raise ConfigError(f"{f.name} must be {want}, got {value!r}")
+        if kind == "int":
+            setattr(config, f.name, int(value))
+        elif kind == "tuple":
+            setattr(config, f.name, tuple(int(v) for v in value))
 
 
 def _from_dict(cls, d: dict, removed: dict, kind: str):
@@ -54,9 +88,7 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        self.input_shape = tuple(int(v) for v in self.input_shape)
-        self.stem_widths = tuple(int(v) for v in self.stem_widths)
-        self.stage_depths = tuple(int(v) for v in self.stage_depths)
+        _check_types(self)
         if len(self.input_shape) != 3 or any(v < 1 for v in self.input_shape):
             raise ConfigError(f"input_shape must be (H, W, C) of positives, got {self.input_shape}")
         if self.num_classes < 2:
@@ -106,6 +138,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_types(self)
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 2:

@@ -22,7 +22,8 @@ class DataFormatError(CapsnetError, ValueError):
 
 
 class CheckpointError(DataFormatError):
-    """A checkpoint manifest and its blob disagree, or the blob is corrupt."""
+    """A checkpoint file is malformed or corrupt, or a state to save is not
+    the one its model config builds."""
 
 
 class TrainingDivergenceError(CapsnetError, RuntimeError):

@@ -55,13 +55,21 @@ class TestRoundTrip:
         assert before["loss"] == after["loss"]
         assert before["accuracy"] == after["accuracy"]
 
-    def test_manifest_is_sorted_json(self, trained):
-        *_, path, _ = trained
-        manifest = json.loads((path / "manifest.json").read_text())
-        assert manifest["format_version"] == 1
-        names = [t["name"] for t in manifest["tensors"] if t["section"] == "param"]
-        assert names == sorted(names)
-        assert all(t["dtype"] in ("<f4", "<f8") for t in manifest["tensors"])
+    def test_file_is_length_header_then_payload(self, trained):
+        _, _, state, path, _ = trained
+        data = path.read_bytes()
+        end = 8 + int.from_bytes(data[:8], "little")
+        header = json.loads(data[8:end])
+        assert sorted(header) == ["epoch", "format_version", "model_config",
+                                  "payload_sha256", "train_config"]
+        assert header["format_version"] == 2
+        # params by name first, then each batch norm's mean and var, then
+        # the velocities; little-endian and nothing else
+        first = sorted(state.params)[0]
+        size = state.params[first].data.nbytes
+        assert data[end:end + size] == state.params[first].data.astype("<f4").tobytes()
+        last = sorted(state.velocity)[-1]
+        assert data[-state.velocity[last].nbytes:] == state.velocity[last].astype("<f4").tobytes()
 
     def test_resume_training_continues_epoch_counter(self, trained):
         cfg, model, state, path, (x, y) = trained
@@ -74,20 +82,15 @@ class TestRoundTrip:
         _, before = load_checkpoint(path)
         train_epoch(model, state, x, y)
 
-        real_fsync = os.fsync
-        # one save fails syncing the blob's temp file, a second the manifest's
-        for fail_at in (1, 2):
-            calls = []
-
-            def fail(fd):
-                calls.append(fd)
-                if len(calls) == fail_at:
-                    raise OSError("disk full")
-                real_fsync(fd)
-            monkeypatch.setattr(os, "fsync", fail)
+        def fail(*args):
+            raise OSError("disk full")
+        # one save fails syncing the temp file, a second moving it into place
+        for fail_at in ("fsync", "replace"):
+            monkeypatch.setattr(os, fail_at, fail)
             with pytest.raises(OSError, match="disk full"):
                 save_checkpoint(path, cfg, state)
             monkeypatch.undo()
+            assert [p.name for p in path.parent.iterdir()] == ["ckpt"]
         _, after = load_checkpoint(path)
         assert after.epoch == before.epoch == 1
         for k in before.params:
@@ -96,7 +99,6 @@ class TestRoundTrip:
         for k in before.stats:
             assert np.array_equal(after.stats[k].mean, before.stats[k].mean)
             assert np.array_equal(after.stats[k].var, before.stats[k].var)
-        assert sorted(p.name for p in path.iterdir()) == ["manifest.json", "params.bin"]
 
     def test_files_synced_before_their_replace_and_directory_after(self, trained,
                                                                     monkeypatch):
@@ -116,31 +118,30 @@ class TestRoundTrip:
         monkeypatch.setattr(os, "replace", replace)
         save_checkpoint(path, cfg, state)
         monkeypatch.undo()
-        blob, manifest = (path / "params.bin").stat(), (path / "manifest.json").stat()
-        # each temp file is synced whole (its final size) under the inode it
-        # keeps through the replace
-        assert calls == [("fsync", blob.st_ino, blob.st_size),
-                         ("fsync", manifest.st_ino, manifest.st_size),
-                         ("replace", "params.bin.tmp", "params.bin"),
-                         ("replace", "manifest.json.tmp", "manifest.json"),
-                         ("fsync", path.stat().st_ino, None)]
+        # one temp file, synced whole (its final size) under the inode it
+        # keeps through the one replace; then its directory
+        written = path.stat()
+        assert calls == [("fsync", written.st_ino, written.st_size),
+                         ("replace", "ckpt.tmp", "ckpt"),
+                         ("fsync", path.parent.stat().st_ino, None)]
         load_checkpoint(path)
 
 
 class TestRemovedConfigKeys:
-    """Manifests written before stage_widths, primary_caps_channels,
+    """Checkpoints written before stage_widths, primary_caps_channels,
     se_ratio and wide_plan were dropped from ModelConfig, and shuffle from
     TrainConfig."""
 
-    def _with_model_config(self, path, section="model_config", **extra):
-        manifest = json.loads((path / "manifest.json").read_text())
-        manifest[section].update(extra)
-        (path / "manifest.json").write_text(json.dumps(manifest))
+    @pytest.fixture
+    def with_config(self, rewrite_header):
+        def edit(path, section="model_config", **extra):
+            rewrite_header(path, lambda h: h[section].update(extra))
+        return edit
 
-    def test_old_defaults_still_load(self, trained):
+    def test_old_defaults_still_load(self, trained, with_config):
         cfg, _, state, path, _ = trained
-        self._with_model_config(path, stage_widths=None, primary_caps_channels=None,
-                                se_ratio=None, wide_plan="quarter_half")
+        with_config(path, stage_widths=None, primary_caps_channels=None,
+                    se_ratio=None, wide_plan="quarter_half")
         cfg2, state2 = load_checkpoint(path)
         assert cfg2 == cfg
         for k in state.params:
@@ -152,108 +153,152 @@ class TestRemovedConfigKeys:
                                        dict(se_ratio=2)],
                              ids=["wide_plan", "stage_widths", "primary_caps_channels",
                                   "se_ratio"])
-    def test_other_values_rejected(self, trained, extra):
+    def test_other_values_rejected(self, trained, with_config, extra):
         *_, path, _ = trained
-        self._with_model_config(path, **extra)
+        with_config(path, **extra)
         with pytest.raises(ConfigError, match="unknown model config keys"):
             load_checkpoint(path)
 
-    def test_old_shuffle_default_still_loads(self, trained):
+    def test_old_shuffle_default_still_loads(self, trained, with_config):
         _, _, state, path, _ = trained
-        self._with_model_config(path, "train_config", shuffle=True)
+        with_config(path, "train_config", shuffle=True)
         _, state2 = load_checkpoint(path)
         assert state2.config == state.config
 
-    def test_shuffle_off_rejected(self, trained):
+    def test_shuffle_off_rejected(self, trained, with_config):
         *_, path, _ = trained
-        self._with_model_config(path, "train_config", shuffle=False)
+        with_config(path, "train_config", shuffle=False)
         with pytest.raises(ConfigError, match="unknown train config keys"):
             load_checkpoint(path)
 
 
+def _file_unchanged(path, before: bytes) -> None:
+    assert path.read_bytes() == before
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
 class TestCorruption:
+    """Names kept from the two-file format: "manifest" is now the header,
+    "blob" the payload, and "entries" the arrays the config builds."""
+
     def test_blob_tamper_detected(self, trained):
         *_, path, _ = trained
-        blob = (path / "params.bin").read_bytes()
-        flipped = bytes([blob[0] ^ 0xFF]) + blob[1:]
-        (path / "params.bin").write_bytes(flipped)
+        data = path.read_bytes()
+        path.write_bytes(data[:-1] + bytes([data[-1] ^ 0xFF]))
         with pytest.raises(CheckpointError, match="SHA-256"):
             load_checkpoint(path)
 
     def test_blob_truncation_detected(self, trained):
         *_, path, _ = trained
-        blob = (path / "params.bin").read_bytes()
-        (path / "params.bin").write_bytes(blob[:-8])
-        with pytest.raises(CheckpointError, match="bytes"):
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(CheckpointError, match="SHA-256"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [lambda d: d[:5],
+                                     lambda d: len(d).to_bytes(8, "little") + d[8:]],
+                             ids=["shorter_than_the_length", "length_past_the_end"])
+    def test_header_length_must_fit_the_file(self, trained, cut):
+        *_, path, _ = trained
+        path.write_bytes(cut(path.read_bytes()))
+        with pytest.raises(CheckpointError, match="header length"):
             load_checkpoint(path)
 
     def test_missing_files(self, tmp_path):
-        with pytest.raises(CheckpointError, match="checkpoint directory"):
+        with pytest.raises(CheckpointError, match="cannot read checkpoint"):
             load_checkpoint(tmp_path / "nope")
 
-    def test_invalid_json(self, trained):
+    def test_format_1_directory_rejected(self, tmp_path):
+        (tmp_path / "manifest.json").write_text("{}")
+        (tmp_path / "params.bin").write_bytes(b"")
+        with pytest.raises(CheckpointError, match="format-1"):
+            load_checkpoint(tmp_path)
+
+    def test_invalid_json(self, trained, rewrite_header):
         *_, path, _ = trained
-        (path / "manifest.json").write_text("{not json")
+        rewrite_header(path, lambda h: b"{not json")
         with pytest.raises(CheckpointError, match="JSON"):
             load_checkpoint(path)
 
-    def test_missing_manifest_key(self, trained):
+    def test_missing_manifest_key(self, trained, rewrite_header):
         *_, path, _ = trained
-        manifest = json.loads((path / "manifest.json").read_text())
-        del manifest["blob_sha256"]
-        (path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="blob_sha256"):
+
+        def drop_sha(header):
+            del header["payload_sha256"]
+        rewrite_header(path, drop_sha)
+        with pytest.raises(CheckpointError, match="payload_sha256"):
             load_checkpoint(path)
 
-    def test_entry_shape_mismatch(self, trained):
+    def test_entry_shape_mismatch(self, trained, rewrite_header):
+        """A header whose config builds other shapes than the payload holds
+        (the SHA-256 still matches) is caught by the payload's length."""
         *_, path, _ = trained
-        manifest = json.loads((path / "manifest.json").read_text())
-        manifest["tensors"][0]["shape"] = [999]
-        (path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="shape"):
+        rewrite_header(path, lambda h: h["model_config"].update(stem_widths=[4, 8, 8, 24]))
+        with pytest.raises(CheckpointError, match="payload has"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("corrupt,mention", [
-        (lambda m: b"\xff\xfe" + json.dumps(m).encode(), "JSON"),
-        (lambda m: m["tensors"][0].update(shape="abc"), "shape"),
-        (lambda m: m["tensors"][0].update(offset="0"), "offset"),
-        (lambda m: m.update(epoch="x"), "epoch"),
-        (lambda m: m.update(epoch=-1), "epoch"),
-        (lambda m: m["model_config"].update(stem_widths=5), "config"),
-        (lambda m: m.update(train_config=[1, 2]), "config"),
-    ], ids=["not_utf8", "shape_not_a_list", "offset_not_an_int", "epoch_not_an_int",
-            "epoch_negative", "config_field_mistyped", "config_not_an_object"])
-    def test_malformed_manifest(self, trained, corrupt, mention):
+    @pytest.mark.parametrize("corrupt,error,mention", [
+        (lambda h: b"\xff\xfe" + json.dumps(h).encode(), CheckpointError, "JSON"),
+        (lambda h: h.update(format_version=1), CheckpointError, "format version 1"),
+        (lambda h: h.update(epoch="x"), CheckpointError, "epoch"),
+        (lambda h: h.update(epoch=-1), CheckpointError, "epoch"),
+        (lambda h: h["model_config"].update(stem_widths=5), ConfigError, "stem_widths"),
+        (lambda h: h.update(train_config=[1, 2]), CheckpointError, "config"),
+    ], ids=["not_utf8", "format_version_1", "epoch_not_an_int", "epoch_negative",
+            "config_field_mistyped", "config_not_an_object"])
+    def test_malformed_manifest(self, trained, rewrite_header, corrupt, error, mention):
         *_, path, _ = trained
-        manifest = json.loads((path / "manifest.json").read_text())
-        raw = corrupt(manifest)  # new bytes, or None after editing in place
-        (path / "manifest.json").write_bytes(raw or json.dumps(manifest).encode())
+        rewrite_header(path, corrupt)
+        with pytest.raises(error, match=mention):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("section,field,value", [
+        ("model_config", "capsule_dim", 4.5),
+        ("model_config", "primary_caps_dim", 8.0),
+        ("model_config", "use_se", "false"),
+        ("model_config", "input_shape", [12, 12.5, 1]),
+        ("model_config", "stem_widths", [4, 8, 8.5, 16]),
+        ("model_config", "stage_depths", [1, True, 1]),
+        ("train_config", "base_lr", "0.01"),
+        ("train_config", "seed", 0.0),
+    ])
+    def test_mistyped_config_field_rejected(self, trained, rewrite_header, section, field,
+                                            value):
+        *_, path, _ = trained
+        rewrite_header(path, lambda h: h[section].update({field: value}))
+        with pytest.raises(ConfigError, match=field):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit,mention", [
+        (lambda s: s.params.update({"caps.weights": s.params.pop("caps.w")}), "caps.w"),
+        (lambda s: s.stats.update({"primary.norm": s.stats.pop("primary.bn")}), "primary.bn"),
+        (lambda s: s.velocity.update({"caps.w": s.velocity["caps.w"].reshape(-1)}), "caps.w"),
+        (lambda s: s.params.update(extra=s.params["caps.w"]), "extra"),
+        (lambda s: s.velocity.pop("caps.w"), "caps.w"),
+    ], ids=["params_renamed", "bn_stats_renamed", "velocity_reshaped", "extra_param",
+            "missing_velocity"])
+    def test_entries_must_be_the_ones_the_config_builds(self, trained, edit, mention):
+        """Save refuses a state other than the one the config builds, and
+        writes nothing."""
+        cfg, _, state, path, _ = trained
+        before = path.read_bytes()
+        edit(state)
         with pytest.raises(CheckpointError, match=mention):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize("name,sections,edit,mention", [
-        ("caps.w", ("param", "velocity"), lambda e: e.update(name="caps.weights"),
-         "param entries"),
-        ("primary.bn", ("bn_mean", "bn_var"), lambda e: e.update(name="primary.norm"),
-         "batch-norm entries"),
-        ("caps.w", ("velocity",), lambda e: e.update(shape=[int(np.prod(e["shape"]))]),
-         "velocity entries"),
-    ], ids=["params_renamed", "bn_stats_renamed", "velocity_reshaped"])
-    def test_entries_must_be_the_ones_the_config_builds(self, trained, name, sections,
-                                                         edit, mention):
-        *_, path, _ = trained
-        manifest = json.loads((path / "manifest.json").read_text())
-        for entry in manifest["tensors"]:
-            if entry["name"] == name and entry["section"] in sections:
-                edit(entry)
-        (path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match=mention):
-            load_checkpoint(path)
+            save_checkpoint(path, cfg, state)
+        _file_unchanged(path, before)
 
     def test_unsupported_dtype(self, trained):
-        *_, path, _ = trained
-        manifest = json.loads((path / "manifest.json").read_text())
-        manifest["tensors"][0]["dtype"] = ">f4"
-        (path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="dtype"):
-            load_checkpoint(path)
+        """Save refuses a float64 state under a float32 config."""
+        cfg, _, state, path, _ = trained
+        before = path.read_bytes()
+        state.velocity["caps.w"] = state.velocity["caps.w"].astype(np.float64)
+        with pytest.raises(CheckpointError, match="float32"):
+            save_checkpoint(path, cfg, state)
+        _file_unchanged(path, before)
+
+    def test_save_refuses_a_directory(self, trained, tmp_path):
+        cfg, _, state, _, _ = trained
+        target = tmp_path / "old"
+        target.mkdir()
+        with pytest.raises(CheckpointError, match="directory"):
+            save_checkpoint(target, cfg, state)
+        assert list(target.iterdir()) == []

@@ -1,10 +1,12 @@
 """Command-line interface tests, run in-process through main()."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from capsnet import load_checkpoint
 from capsnet.cli import main
 
 FAST_DATA = ["--dataset", "blobs", "--samples", "64", "--test-samples", "32",
@@ -34,8 +36,8 @@ def test_train_writes_history_and_checkpoint(tmp_path, capsys):
                  "--out", str(out_dir)])
     assert code == 0
     assert (out_dir / "history.csv").exists()
-    assert (out_dir / "checkpoint" / "manifest.json").exists()
-    assert (out_dir / "checkpoint" / "params.bin").exists()
+    assert (out_dir / "checkpoint").is_file()
+    assert not (out_dir / "checkpoint.tmp").exists()
     header = (out_dir / "history.csv").read_text().splitlines()[0]
     assert header == "epoch,loss,accuracy,lr"
 
@@ -58,13 +60,10 @@ def test_eval_missing_checkpoint_is_clean_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_eval_rejects_a_malformed_manifest(tmp_path, capsys, checkpoint):
+def test_eval_rejects_a_malformed_manifest(tmp_path, capsys, checkpoint, rewrite_header):
     bad = tmp_path / "checkpoint"
-    bad.mkdir()
-    (bad / "params.bin").write_bytes((checkpoint / "params.bin").read_bytes())
-    manifest = json.loads((checkpoint / "manifest.json").read_text())
-    manifest["epoch"] = "x"
-    (bad / "manifest.json").write_text(json.dumps(manifest))
+    shutil.copy(checkpoint, bad)
+    rewrite_header(bad, lambda h: h.update(epoch="x"))
     capsys.readouterr()
     code = main(["eval", *FAST_DATA, "--checkpoint", str(bad)])
     assert code == 2
@@ -72,33 +71,37 @@ def test_eval_rejects_a_malformed_manifest(tmp_path, capsys, checkpoint):
     assert err.startswith("error:") and "epoch" in err
 
 
-def test_eval_rejects_entries_the_config_does_not_build(tmp_path, capsys, checkpoint):
+def test_eval_rejects_entries_the_config_does_not_build(tmp_path, capsys, checkpoint,
+                                                        rewrite_header):
     bad = tmp_path / "checkpoint"
-    bad.mkdir()
-    (bad / "params.bin").write_bytes((checkpoint / "params.bin").read_bytes())
-    manifest = json.loads((checkpoint / "manifest.json").read_text())
-    for entry in manifest["tensors"]:
-        if entry["name"] == "caps.w":
-            entry["name"] = "caps.weights"
-    (bad / "manifest.json").write_text(json.dumps(manifest))
+    shutil.copy(checkpoint, bad)
+    rewrite_header(bad, lambda h: h["model_config"].update(stem_widths=[8, 16, 16, 48]))
     capsys.readouterr()
     code = main(["eval", *FAST_DATA, "--checkpoint", str(bad)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "caps.w" in err
+    assert err.startswith("error:") and "payload has" in err
 
 
-def test_eval_rejects_a_removed_width_plan(tmp_path, capsys):
-    out_dir = tmp_path / "run"
-    main(["train", *FAST_DATA, *FAST_TRAIN, "--quiet", "--out", str(out_dir)])
-    manifest_path = out_dir / "checkpoint" / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["model_config"]["wide_plan"] = "half_double"
-    manifest_path.write_text(json.dumps(manifest))
+def test_eval_rejects_a_removed_width_plan(tmp_path, capsys, checkpoint, rewrite_header):
+    bad = tmp_path / "checkpoint"
+    shutil.copy(checkpoint, bad)
+    rewrite_header(bad, lambda h: h["model_config"].update(wide_plan="half_double"))
     capsys.readouterr()
-    code = main(["eval", *FAST_DATA, "--checkpoint", str(out_dir / "checkpoint")])
+    code = main(["eval", *FAST_DATA, "--checkpoint", str(bad)])
     assert code == 2
     assert "wide_plan" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_format_1_directory(tmp_path, capsys):
+    old = tmp_path / "checkpoint"
+    old.mkdir()
+    (old / "manifest.json").write_text("")
+    capsys.readouterr()
+    code = main(["eval", *FAST_DATA, "--checkpoint", str(old)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "format-1" in err
 
 
 def test_ablate_selected_rungs(capsys):
@@ -127,10 +130,10 @@ def test_train_model_config_overrides(tmp_path):
     code = main(["train", *FAST_DATA, *FAST_TRAIN, "--quiet",
                  "--model-config", str(cfg_path), "--out", str(out_dir)])
     assert code == 0
-    manifest = json.loads((out_dir / "checkpoint" / "manifest.json").read_text())
-    assert manifest["model_config"]["use_attention"] is False
-    assert manifest["model_config"]["routing"] == "original"
-    assert not any(t["name"].startswith("attn.") for t in manifest["tensors"])
+    cfg, state = load_checkpoint(out_dir / "checkpoint")
+    assert cfg.use_attention is False
+    assert cfg.routing == "original"
+    assert not any(name.startswith("attn.") for name in state.params)
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
@@ -139,7 +142,14 @@ def test_train_model_config_overrides(tmp_path):
     "[1, 2]",                  # a JSON value that is not an object
     '{"stem_widths": 5}',      # a field of the wrong type
     None,                      # a path that cannot be read
-], ids=["malformed", "not_object", "wrong_type", "unreadable"])
+    '{"capsule_dim": 4.5}',    # integer fields take no fractions,
+    '{"primary_caps_dim": 8.0}',  # nor integral floats
+    '{"stem_widths": [8, 16, 16.5, 32]}',
+    '{"stage_depths": [1, 1.5, 1]}',
+    '{"use_se": "false"}',     # a truthy string once trained with SE
+    '{"use_attention": 1}',
+], ids=["malformed", "not_object", "wrong_type", "unreadable", "fractional_int",
+        "float_int", "fractional_width", "fractional_depth", "string_bool", "int_bool"])
 def test_bad_model_config_is_clean_error(tmp_path, capsys, command, content):
     cfg_path = tmp_path / "model.json"
     if content is not None:
@@ -150,6 +160,7 @@ def test_bad_model_config_is_clean_error(tmp_path, capsys, command, content):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "model-config" in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.fixture(scope="module")
