@@ -126,14 +126,23 @@ def _model_config(args, input_shape, num_classes) -> ModelConfig:
     if args.toy:
         for key, value in TOY_OVERRIDES.items():
             overrides.setdefault(key, value)
-    overrides["input_shape"] = tuple(int(v) for v in input_shape)
-    overrides["num_classes"] = int(num_classes)
+    # The dataset decides these two; the file may only repeat them, as a
+    # config copied out of a checkpoint does.
+    dataset = {"input_shape": tuple(int(v) for v in input_shape),
+               "num_classes": int(num_classes)}
+    for key, value in dataset.items():
+        overrides.setdefault(key, value)
     try:
-        return ModelConfig.from_dict(overrides)
+        cfg = ModelConfig.from_dict(overrides)
     except ConfigError as e:
         if source is None:
             raise
         raise ConfigError(f"invalid --model-config {source}: {e}") from e
+    for key, value in dataset.items():
+        if getattr(cfg, key) != value:
+            raise ConfigError(f"--model-config {source} sets {key} to {getattr(cfg, key)}, "
+                              f"but the dataset has {key} {value}")
+    return cfg
 
 
 def cmd_train(args) -> int:

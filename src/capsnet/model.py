@@ -100,11 +100,16 @@ class CapsuleClassifier:
         return Tensor(data.astype(self.np_dtype, copy=False))
 
     def forward(self, params: dict, stats: dict, x, training: bool = False) -> ModelOutput:
-        cfg = self.config
         x = self._as_input(x)
-        feats = self.backbone(params, stats, x, training)
+        return self.head(params, stats, self.backbone(params, stats, x, training), training)
+
+    def head(self, params: dict, stats: dict, feats: Tensor,
+             training: bool = False) -> ModelOutput:
+        """Everything after the backbone: primary capsules from its features
+        ``feats``, routing, then the attention gate or the softmax."""
+        cfg = self.config
         y = conv_bn(params, stats, "primary.conv", "primary.bn", feats, PRIMARY_STRIDE, training)
-        batch = x.shape[0]
+        batch = feats.shape[0]
         caps = ops.reshape(y, (batch, self.num_primary, cfg.primary_caps_dim))
         u = squash(caps)
         u_hat = capsule_predictions(u, params["caps.w"])

@@ -163,6 +163,39 @@ def test_bad_model_config_is_clean_error(tmp_path, capsys, command, content):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("content,key,values", [
+    ('{"input_shape": [16, 16, 1]}', "input_shape", ("(16, 16, 1)", "(12, 12, 1)")),
+    ('{"num_classes": 4}', "num_classes", ("4", "3")),
+], ids=["input_shape", "num_classes"])
+def test_model_config_disagreeing_with_dataset_is_clean_error(tmp_path, capsys, command,
+                                                              content, key, values):
+    cfg_path = tmp_path / "model.json"
+    cfg_path.write_text(content)
+    extra = ["--out", str(tmp_path / "run")] if command == "train" else []
+    code = main([command, *FAST_DATA, *FAST_TRAIN, "--quiet",
+                 "--model-config", str(cfg_path), *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "model-config" in err and key in err
+    assert all(v in err for v in values)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_model_config_repeating_the_dataset_is_accepted(tmp_path, command):
+    cfg_path = tmp_path / "model.json"
+    cfg_path.write_text(json.dumps({"input_shape": [12, 12, 1], "num_classes": 3}))
+    extra = (["--out", str(tmp_path / "run")] if command == "train"
+             else ["--rungs", "v1"])
+    code = main([command, *FAST_DATA, *FAST_TRAIN, "--quiet",
+                 "--model-config", str(cfg_path), *extra])
+    assert code == 0
+    if command == "train":
+        cfg, _ = load_checkpoint(tmp_path / "run" / "checkpoint")
+        assert cfg.input_shape == (12, 12, 1) and cfg.num_classes == 3
+
+
 @pytest.fixture(scope="module")
 def checkpoint(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("cli") / "run"
@@ -179,9 +212,13 @@ def checkpoint(tmp_path_factory):
     ("train", ["--classes", "0"], "num_classes"),
     ("train", ["--noise", "-1"], "noise"),
     ("train", ["--image-size", "-4"], "image_size"),
+    ("gradcheck", ["--seed", "-1"], "seed"),
+    ("gradcheck", ["--step", "inf"], "step"),
+    ("gradcheck", ["--tol", "0"], "tolerance"),
 ], ids=["eval_batch_negative", "eval_batch_zero", "train_no_test_samples",
         "train_negative_samples", "gradcheck_zero_step", "train_zero_classes",
-        "train_negative_noise", "train_negative_image_size"])
+        "train_negative_noise", "train_negative_image_size", "gradcheck_negative_seed",
+        "gradcheck_infinite_step", "gradcheck_zero_tol"])
 def test_bad_size_or_step_is_clean_error(tmp_path, capsys, checkpoint, command, flags,
                                          mention):
     common = {"eval": [*FAST_DATA, "--checkpoint", str(checkpoint)],
