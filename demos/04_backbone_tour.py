@@ -10,6 +10,7 @@ import numpy as np
 
 from capsnet import CapsuleClassifier, ModelConfig, Tensor
 from capsnet.backbone import Backbone, block_widths, parameter_count
+from capsnet.initializers import init_from_table
 
 
 def main():
@@ -21,8 +22,7 @@ def main():
     print("\n== stage-by-stage shapes (32x32x3 input) ==")
     net = Backbone(in_channels=3, stem_widths=(16, 32, 64, 128),
                    stage_widths=(64, 128, 256), stage_depths=(4, 8, 4))
-    params, stats = {}, {}
-    net.init(np.random.default_rng(0), params, stats, np.float32)
+    params, stats = init_from_table(net.table(), 0, np.float32)
     x = Tensor(np.random.default_rng(1).standard_normal((1, 32, 32, 3)).astype(np.float32))
     x = net.stem(params, x)
     print(f"  stem   -> {x.shape}")

@@ -4,7 +4,9 @@ Parameters live in a flat ``dict[str, Tensor]`` keyed by dotted prefixes
 ("stage2.block0.conv1.w"), and batch-norm running statistics live in a
 parallel ``dict[str, RunningStats]``.  Layer objects hold only shapes and
 names, so a forward pass always reads the current tensors, and the
-optimizer can swap parameter tensors without touching the layers.
+optimizer can swap parameter tensors without touching the layers.  Layers
+declare their tensors as ``(name, shape, init)`` rows in ``table()``, which
+``initializers.init_from_table`` draws.
 
 Block width plans, given a stage width f:
 
@@ -18,14 +20,9 @@ Each batch norm follows a conv, and both run as one ``conv_bn``.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import ops
 from .attention import default_se_ratio, se_block
 from .errors import ConfigError
-from .initializers import he_normal
-from .ops import RunningStats
-from .tensor import Tensor
 
 BLOCK_VARIANTS = ("wide", "standard")
 
@@ -39,28 +36,25 @@ def block_widths(f: int, variant: str) -> tuple[int, int, int]:
     return (f // 4, f // 2 if variant == "wide" else f // 4, f)
 
 
-def _init_conv(rng, params: dict, name: str, kh: int, kw: int, cin: int, cout: int,
-               dtype, bias: bool = False) -> None:
-    params[name + ".w"] = Tensor(
-        he_normal(rng, (kh, kw, cin, cout), dtype=dtype), requires_grad=True)
+def conv_rows(name: str, kh: int, kw: int, cin: int, cout: int,
+              bias: bool = False) -> list:
+    rows = [(name + ".w", (kh, kw, cin, cout), kh * kw * cin)]
     if bias:
-        params[name + ".b"] = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
+        rows.append((name + ".b", (cout,), "zeros"))
+    return rows
 
 
-def _init_bn(params: dict, stats: dict, name: str, c: int, dtype) -> None:
-    params[name + ".gamma"] = Tensor(np.ones(c, dtype=dtype), requires_grad=True)
-    params[name + ".beta"] = Tensor(np.zeros(c, dtype=dtype), requires_grad=True)
-    stats[name] = RunningStats(c, dtype=dtype)
+def bn_rows(name: str, c: int) -> list:
+    return [(name + ".gamma", (c,), "ones"), (name + ".beta", (c,), "zeros"),
+            (name, (c,), "stats")]
 
 
-def init_se(rng, params: dict, name: str, c: int, dtype) -> None:
+def se_rows(name: str, c: int) -> list:
     """Squeeze-excite weights for ``c`` channels: ``w1`` [c, c/r] and
     ``w2`` [c/r, c], HeNormal, with zero biases; r = ``default_se_ratio(c)``."""
     hidden = c // default_se_ratio(c)
-    params[name + ".w1"] = Tensor(he_normal(rng, (c, hidden), dtype=dtype), requires_grad=True)
-    params[name + ".b1"] = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
-    params[name + ".w2"] = Tensor(he_normal(rng, (hidden, c), dtype=dtype), requires_grad=True)
-    params[name + ".b2"] = Tensor(np.zeros(c, dtype=dtype), requires_grad=True)
+    return [(name + ".w1", (c, hidden), c), (name + ".b1", (hidden,), "zeros"),
+            (name + ".w2", (hidden, c), hidden), (name + ".b2", (c,), "zeros")]
 
 
 def conv_bn(params: dict, stats: dict, conv: str, bn: str, x, stride: int,
@@ -92,11 +86,10 @@ class Stem:
         self.widths = tuple(widths)
         self.out_channels = self.widths[-1]
 
-    def init(self, rng, params: dict, dtype) -> None:
-        cin = self.in_channels
-        for i, w in enumerate(self.widths):
-            _init_conv(rng, params, f"{self.prefix}.conv{i}", 3, 3, cin, w, dtype, bias=True)
-            cin = w
+    def table(self) -> list:
+        cins = (self.in_channels,) + self.widths[:-1]
+        return [row for i, (cin, w) in enumerate(zip(cins, self.widths))
+                for row in conv_rows(f"{self.prefix}.conv{i}", 3, 3, cin, w, bias=True)]
 
     def __call__(self, params: dict, x):
         for i in range(len(self.widths)):
@@ -117,19 +110,14 @@ class Bottleneck:
         self.out_channels = self.widths[2]
         self.use_se = use_se
 
-    def init(self, rng, params: dict, stats: dict, dtype) -> None:
+    def table(self) -> list:
         c1, c2, c3 = self.widths
-        p = self.prefix
-        _init_conv(rng, params, f"{p}.conv1", 1, 1, self.in_channels, c1, dtype)
-        _init_bn(params, stats, f"{p}.bn1", c1, dtype)
-        _init_conv(rng, params, f"{p}.conv2", 3, 3, c1, c2, dtype)
-        _init_bn(params, stats, f"{p}.bn2", c2, dtype)
-        _init_conv(rng, params, f"{p}.conv3", 1, 1, c2, c3, dtype)
-        _init_bn(params, stats, f"{p}.bn3", c3, dtype)
-        if self.use_se:
-            init_se(rng, params, f"{p}.se", c3, dtype)
-        _init_conv(rng, params, f"{p}.proj", 1, 1, self.in_channels, c3, dtype)
-        _init_bn(params, stats, f"{p}.projbn", c3, dtype)
+        p, cin = self.prefix, self.in_channels
+        return (conv_rows(f"{p}.conv1", 1, 1, cin, c1) + bn_rows(f"{p}.bn1", c1)
+                + conv_rows(f"{p}.conv2", 3, 3, c1, c2) + bn_rows(f"{p}.bn2", c2)
+                + conv_rows(f"{p}.conv3", 1, 1, c2, c3) + bn_rows(f"{p}.bn3", c3)
+                + (se_rows(f"{p}.se", c3) if self.use_se else [])
+                + conv_rows(f"{p}.proj", 1, 1, cin, c3) + bn_rows(f"{p}.projbn", c3))
 
     def __call__(self, params: dict, stats: dict, x, training: bool):
         p = self.prefix
@@ -168,10 +156,8 @@ class Backbone:
                 cin = block.out_channels
         self.out_channels = cin
 
-    def init(self, rng, params: dict, stats: dict, dtype) -> None:
-        self.stem.init(rng, params, dtype)
-        for block in self.blocks:
-            block.init(rng, params, stats, dtype)
+    def table(self) -> list:
+        return self.stem.table() + [row for block in self.blocks for row in block.table()]
 
     def __call__(self, params: dict, stats: dict, x, training: bool):
         x = self.stem(params, x)

@@ -4,11 +4,11 @@ The file holds an 8-byte little-endian header length, the UTF-8 JSON header
 (``format_version``, ``epoch``, ``model_config``, ``train_config`` and
 ``payload_sha256``), then the payload: every array, little-endian, params by
 name, then each batch norm's mean and variance by name, then velocities by
-name.  It stores no names, shapes or dtypes: :func:`_layout` derives them
-from the model config, and save and load both use it.  The payload's
-SHA-256 makes corruption surface as :class:`CheckpointError` rather than
-silent drift.  Arrays are written with ``tobytes()`` and read back
-bit-exactly.
+name.  It stores no names, shapes or dtypes: :func:`_layout` reads them
+from the model config's parameter table, drawing no weight, and save and
+load both use it.  The payload's SHA-256 makes corruption surface as
+:class:`CheckpointError` rather than silent drift.  Arrays are written with
+``tobytes()`` and read back bit-exactly.
 """
 
 from __future__ import annotations
@@ -38,21 +38,23 @@ def _is_count(value) -> bool:
 
 
 def _arrays(params: dict, stats: dict, velocity: dict) -> list:
-    """Every (section, name, array), in payload order: params by name, then
-    each batch norm's mean and variance by name, then velocities by name."""
-    arrays = [("param", name, params[name].data) for name in sorted(params)]
-    for name in sorted(stats):
-        arrays += [("bn_mean", name, stats[name].mean), ("bn_var", name, stats[name].var)]
-    return arrays + [("velocity", name, velocity[name]) for name in sorted(velocity)]
+    """Every (section, name, value), in payload order: params by name, then
+    each batch norm's mean and variance by name (``stats`` maps a name to
+    the pair), then velocities by name."""
+    return ([("param", name, params[name]) for name in sorted(params)]
+            + [(section, name, value) for name in sorted(stats)
+               for section, value in zip(("bn_mean", "bn_var"), stats[name])]
+            + [("velocity", name, velocity[name]) for name in sorted(velocity)])
 
 
 def _layout(model_config: ModelConfig) -> tuple[list, np.dtype]:
     """The (section, name, shape) list of the arrays ``model_config``
-    builds, in payload order, and their little-endian dtype."""
-    params, stats = CapsuleClassifier(model_config).init_params()
-    velocity = {name: t.data for name, t in params.items()}
-    return ([(section, name, arr.shape) for section, name, arr in _arrays(params, stats, velocity)],
-            np.dtype(model_config.dtype).newbyteorder("<"))
+    builds, in payload order, and their little-endian dtype, read from the
+    config's parameter table: nothing is drawn."""
+    rows = CapsuleClassifier(model_config).param_table()
+    shapes = {name: shape for name, shape, init in rows if init != "stats"}
+    stats = {name: (shape, shape) for name, shape, init in rows if init == "stats"}
+    return _arrays(shapes, stats, shapes), np.dtype(model_config.dtype).newbyteorder("<")
 
 
 def _refuse_directory(path: Path) -> None:
@@ -84,7 +86,8 @@ def save_checkpoint(path, model_config: ModelConfig, state: TrainState) -> None:
     path = Path(path)
     _refuse_directory(path)
     want, dtype = _layout(model_config)
-    arrays = _arrays(state.params, state.stats, state.velocity)
+    arrays = _arrays({name: t.data for name, t in state.params.items()},
+                     {name: (s.mean, s.var) for name, s in state.stats.items()}, state.velocity)
     got = [(section, name, arr.shape) for section, name, arr in arrays]
     if got != want:
         raise CheckpointError(
@@ -160,19 +163,17 @@ def load_checkpoint(path) -> tuple[ModelConfig, TrainState]:
         raise CheckpointError(f"{path}: payload has {len(payload)} bytes, the model "
                               f"config's arrays take {sum(counts) * dtype.itemsize}")
 
-    arrays, offset = {}, 0
+    arrays, offset = {}, 0  # section -> name -> array
     for (section, name, shape), count in zip(layout, counts):
         arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
-        arrays[section, name] = arr.reshape(shape).astype(dtype.newbyteorder("="))
+        arrays.setdefault(section, {})[name] = arr.reshape(shape).astype(dtype.newbyteorder("="))
         offset += count * dtype.itemsize
 
-    def section(wanted: str) -> dict:
-        return {name: arr for (s, name), arr in arrays.items() if s == wanted}
     stats = {}
-    for name, mean in section("bn_mean").items():
+    for name, mean in arrays["bn_mean"].items():
         stats[name] = RunningStats(len(mean), dtype=mean.dtype)
-        stats[name].load({"mean": mean, "var": arrays["bn_var", name]})
-    params = {name: Tensor(arr, requires_grad=True) for name, arr in section("param").items()}
-    state = TrainState(params=params, stats=stats, velocity=section("velocity"),
+        stats[name].load({"mean": mean, "var": arrays["bn_var"][name]})
+    params = {name: Tensor(arr, requires_grad=True) for name, arr in arrays["param"].items()}
+    state = TrainState(params=params, stats=stats, velocity=arrays["velocity"],
                        epoch=header["epoch"], config=train_config)
     return model_config, state

@@ -128,21 +128,25 @@ def _model_config(args, input_shape, num_classes) -> ModelConfig:
             overrides.setdefault(key, value)
     # The dataset decides these two; the file may only repeat them, as a
     # config copied out of a checkpoint does.
-    dataset = {"input_shape": tuple(int(v) for v in input_shape),
-               "num_classes": int(num_classes)}
-    for key, value in dataset.items():
-        overrides.setdefault(key, value)
+    overrides.setdefault("input_shape", input_shape)
+    overrides.setdefault("num_classes", num_classes)
     try:
         cfg = ModelConfig.from_dict(overrides)
     except ConfigError as e:
         if source is None:
             raise
         raise ConfigError(f"invalid --model-config {source}: {e}") from e
+    _check_dataset(cfg, input_shape, num_classes, f"--model-config {source}")
+    return cfg
+
+
+def _check_dataset(cfg: ModelConfig, input_shape, num_classes, source: str) -> None:
+    """Raise ConfigError, naming ``source``, unless ``cfg`` fits the dataset."""
+    dataset = {"input_shape": tuple(int(v) for v in input_shape), "num_classes": int(num_classes)}
     for key, value in dataset.items():
         if getattr(cfg, key) != value:
-            raise ConfigError(f"--model-config {source} sets {key} to {getattr(cfg, key)}, "
+            raise ConfigError(f"{source} sets {key} to {getattr(cfg, key)}, "
                               f"but the dataset has {key} {value}")
-    return cfg
 
 
 def cmd_train(args) -> int:
@@ -166,7 +170,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model_cfg, state = load_checkpoint(args.checkpoint)
     model = CapsuleClassifier(model_cfg)
-    _, test, _, _ = _load_dataset(args)
+    _, test, input_shape, num_classes = _load_dataset(args)
+    # A synthetic set is drawn for its class count and image size; a file
+    # subset may lack the top class, so evaluate range-checks its labels.
+    if args.dataset in ("blobs", "bars"):
+        _check_dataset(model_cfg, input_shape, num_classes, f"checkpoint {args.checkpoint}")
     metrics = evaluate(model, state.params, state.stats, test[0], test[1],
                        batch_size=args.batch_size)
     print(json.dumps({"loss": metrics["loss"], "accuracy": metrics["accuracy"],

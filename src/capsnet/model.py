@@ -16,10 +16,10 @@ import numpy as np
 
 from . import ops
 from .attention import attention_capsules
-from .backbone import Backbone, _init_bn, _init_conv, conv_bn, init_se, parameter_count
+from .backbone import Backbone, bn_rows, conv_bn, conv_rows, parameter_count, se_rows
 from .config import ModelConfig
 from .errors import ConfigError, ShapeError
-from .initializers import he_normal
+from .initializers import init_from_table
 from .routing import capsule_predictions, route, squash
 from .tensor import Tensor
 
@@ -63,27 +63,22 @@ class CapsuleClassifier:
                 f"(input {h}x{w} is too small or primary channels too narrow)")
         self.np_dtype = np.float32 if config.dtype == "float32" else np.float64
 
-    def init_params(self, seed: int = 0) -> tuple[dict, dict]:
-        """Fresh (params, stats) dicts; weights HeNormal, biases zero."""
-        rng = np.random.default_rng(seed)
+    def param_table(self) -> list:
+        """Every tensor the config builds, as ``(name, shape, init)`` rows in
+        draw order (see ``initializers``)."""
         cfg = self.config
-        params: dict[str, Tensor] = {}
-        stats: dict = {}
-        dtype = self.np_dtype
-        self.backbone.init(rng, params, stats, dtype)
-        _init_conv(rng, params, "primary.conv", 3, 3,
-                   self.backbone.out_channels, self.primary_channels, dtype)
-        _init_bn(params, stats, "primary.bn", self.primary_channels, dtype)
         # Each vote mixes one k_in-dim capsule, so fan_in is k_in, not the
         # full leading extent product.
-        params["caps.w"] = Tensor(
-            he_normal(rng, (cfg.num_classes, self.num_primary,
-                            cfg.primary_caps_dim, cfg.capsule_dim),
-                      fan_in=cfg.primary_caps_dim, dtype=dtype),
-            requires_grad=True)
-        if cfg.use_attention:
-            init_se(rng, params, "attn", cfg.num_classes, dtype)
-        return params, stats
+        caps = ("caps.w", (cfg.num_classes, self.num_primary, cfg.primary_caps_dim,
+                           cfg.capsule_dim), cfg.primary_caps_dim)
+        c = self.primary_channels  # the primary conv keeps the backbone's width
+        return (self.backbone.table() + conv_rows("primary.conv", 3, 3, c, c)
+                + bn_rows("primary.bn", c) + [caps]
+                + (se_rows("attn", cfg.num_classes) if cfg.use_attention else []))
+
+    def init_params(self, seed: int = 0) -> tuple[dict, dict]:
+        """Fresh (params, stats) dicts; weights HeNormal, biases zero."""
+        return init_from_table(self.param_table(), seed, self.np_dtype)
 
     def _as_input(self, x) -> Tensor:
         if isinstance(x, Tensor):

@@ -8,17 +8,12 @@ from capsnet.backbone import (Backbone, Bottleneck, Stem, block_widths, conv_bn,
                               parameter_count)
 from capsnet.errors import ConfigError
 from capsnet.gradcheck import finite_diff_check
+from capsnet.initializers import init_from_table
 from test_tensor_ops import conv2d_loop_reference
 
 
 def build(layer, seed=0, dtype=np.float64):
-    rng = np.random.default_rng(seed)
-    params, stats = {}, {}
-    if isinstance(layer, Stem):
-        layer.init(rng, params, dtype)
-    else:
-        layer.init(rng, params, stats, dtype)
-    return params, stats
+    return init_from_table(layer.table(), seed, dtype)
 
 
 class TestBlockWidths:

@@ -1,5 +1,6 @@
 """Checkpoint persistence: bit-exact round trips and corruption detection."""
 
+import hashlib
 import json
 import os
 import stat
@@ -11,6 +12,7 @@ import pytest
 from capsnet import (CapsuleClassifier, ModelConfig, TrainConfig, evaluate,
                      init_train_state, load_checkpoint, save_checkpoint,
                      train_epoch)
+from capsnet.cli import main
 from capsnet.data import make_blobs
 from capsnet.errors import CheckpointError, ConfigError
 
@@ -302,3 +304,56 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="directory"):
             save_checkpoint(target, cfg, state)
         assert list(target.iterdir()) == []
+
+
+class TestLayoutDrawsNothing:
+    """Save and load take the layout from the config's parameter table, so
+    with ``init_params`` broken they still work, and a header that claims a
+    huge model is refused by the payload's length without drawing it."""
+
+    @pytest.fixture
+    def no_init(self, monkeypatch):
+        def refuse(self, seed=0):
+            raise AssertionError("the checkpoint layout drew the weights")
+        return lambda: monkeypatch.setattr(CapsuleClassifier, "init_params", refuse)
+
+    @pytest.fixture
+    def claims_a_huge_model(self, tmp_path):
+        """A 64-byte payload with a correct SHA-256 under a header whose
+        config builds 19,594,835 float32 params and 19,776 batch-norm
+        channels: the params and velocities, means and variances take
+        156,916,888 bytes."""
+        cfg = ModelConfig(stem_widths=(16, 32, 64, 384))
+        payload = bytes(64)
+        header = json.dumps({
+            "format_version": 2, "epoch": 0, "model_config": cfg.to_dict(),
+            "train_config": TrainConfig().to_dict(),
+            "payload_sha256": hashlib.sha256(payload).hexdigest()}).encode()
+        path = tmp_path / "huge"
+        path.write_bytes(len(header).to_bytes(8, "little") + header + payload)
+        return path, 156_916_888
+
+    def test_paper_round_trip(self, tmp_path, no_init):
+        cfg = ModelConfig()
+        state = init_train_state(CapsuleClassifier(cfg), TrainConfig())
+        no_init()
+        save_checkpoint(tmp_path / "ckpt", cfg, state)
+        cfg2, state2 = load_checkpoint(tmp_path / "ckpt")
+        assert cfg2 == cfg
+        assert list(state2.params) == sorted(state.params)
+        assert all(np.array_equal(state2.params[k].data, state.params[k].data)
+                   for k in state.params)
+
+    def test_huge_claimed_model_refused_by_length(self, claims_a_huge_model, no_init):
+        path, size = claims_a_huge_model
+        no_init()
+        with pytest.raises(CheckpointError, match=f"payload has 64 bytes.* take {size}"):
+            load_checkpoint(path)
+
+    def test_eval_of_a_huge_claimed_model_exits_2(self, claims_a_huge_model, no_init,
+                                                   capsys):
+        path, size = claims_a_huge_model
+        no_init()
+        assert main(["eval", "--samples", "8", "--test-samples", "8",
+                     "--checkpoint", str(path)]) == 2
+        assert str(size) in capsys.readouterr().err

@@ -215,10 +215,16 @@ def checkpoint(tmp_path_factory):
     ("gradcheck", ["--seed", "-1"], "seed"),
     ("gradcheck", ["--step", "inf"], "step"),
     ("gradcheck", ["--tol", "0"], "tolerance"),
+    # the fixture's checkpoint was trained on 3 classes of 12x12 blobs
+    ("eval", ["--classes", "2"], "num_classes to 3, but the dataset has num_classes 2"),
+    ("eval", ["--classes", "4"], "num_classes to 3, but the dataset has num_classes 4"),
+    ("eval", ["--image-size", "16"],
+     "input_shape to (12, 12, 1), but the dataset has input_shape (16, 16, 1)"),
 ], ids=["eval_batch_negative", "eval_batch_zero", "train_no_test_samples",
         "train_negative_samples", "gradcheck_zero_step", "train_zero_classes",
         "train_negative_noise", "train_negative_image_size", "gradcheck_negative_seed",
-        "gradcheck_infinite_step", "gradcheck_zero_tol"])
+        "gradcheck_infinite_step", "gradcheck_zero_tol", "eval_fewer_classes",
+        "eval_more_classes", "eval_other_image_size"])
 def test_bad_size_or_step_is_clean_error(tmp_path, capsys, checkpoint, command, flags,
                                          mention):
     common = {"eval": [*FAST_DATA, "--checkpoint", str(checkpoint)],

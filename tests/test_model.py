@@ -1,13 +1,66 @@
 """Assembled classifier tests: shapes, probability outputs, config plumbing."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from capsnet import CapsuleClassifier, ModelConfig, Tensor
 from capsnet.errors import ConfigError, ShapeError
+from capsnet.gradcheck import toy_model_config
 
 TOY = dict(input_shape=(16, 16, 1), num_classes=4,
            stem_widths=(4, 8, 8, 16), stage_depths=(1, 1, 1))
+BLOBS = dict(input_shape=(16, 16, 1), num_classes=4,
+             stem_widths=(8, 16, 16, 32), stage_depths=(1, 1, 1))
+INIT_CONFIGS = {
+    "paper": ModelConfig,
+    "blobs": lambda: ModelConfig(**BLOBS),
+    "toy": toy_model_config,
+    "standard_plain": lambda: ModelConfig(**BLOBS, block_variant="standard", use_se=False,
+                                          use_attention=False),
+}
+# SHA-256 of init_params(seed) for seeds 0-3 (see init_sha256), taken from
+# the per-layer init writers that the parameter table replaced: the table
+# draws the same bits in the same order.
+INIT_SHA256 = {
+    "paper": (
+        "6cc47316df65bd093879f9859c45caedf369c310808d98ed82dd93848ca6647a",
+        "ac976cca63926bc144d7c8bec32549b3079707d3a6604a3a06410ac346bf841b",
+        "7f75ce65448f51a03423c793f0ee2f457b6d11c8a8926e491b138978fb31607d",
+        "4d6e3fbadc24196453ddb6e935c056c92f391becfaa8895dadbf858628ee8f14",
+    ),
+    "blobs": (
+        "843613f0602f7a8d45de1cebbc7229fea6a956e9f02435a39f68d3555ffbe418",
+        "d56267a21253d6b4cd10f2b0062e8d1d0d4ba3674788581cf40fd69a6a465a33",
+        "02ae70911b1dd8033b01f7dbda56f61876eb4a54e1dec70d9182389440e3fda0",
+        "960e9a5c961d5eebdef8f3f9b086e67f08adf600688ad588761b1772c54c4bc2",
+    ),
+    "toy": (
+        "2965bf10cf3a2cee6287fb27b4693fb0bb71efbd11931d4bb21404a266beed70",
+        "f9814b2bd3a44d01f26e9d8609ea67334deec1195a8010915e410be6738a8c0b",
+        "8e05d5f2e4591a041fd2fc20d8883be7808ccccd0ef5877f2e49212a7aecc1d7",
+        "e42d094ce7540644f27a50e740967838b3a7e0fb6288aaf007efc1a9daf09bd8",
+    ),
+    "standard_plain": (
+        "ad92e459e2006dbdaf3eb633100eed1b005130c623588f994ce6a611d2f6ea52",
+        "25a6e79c3d1e5ef10b272a2558c5c4d725c063cf32405e3157525ff0ccc802d0",
+        "c3f9a07dbaa5b1802d9a9890c610aabdbdcd68fbc6e46b4abff1445abb34eacf",
+        "3e33cebcd5b7c4347e802f5478016379ffd99c077daadc703fd458fb3ffad6bc",
+    ),
+}
+
+
+def init_sha256(params: dict, stats: dict) -> str:
+    """Digest of every param, then every running mean and variance, in dict
+    order, each as its name, shape, dtype and bytes."""
+    h = hashlib.sha256()
+    arrays = [(name, t.data) for name, t in params.items()]
+    arrays += [(name, arr) for name, s in stats.items() for arr in (s.mean, s.var)]
+    for name, arr in arrays:
+        h.update(f"{name}{arr.shape}{arr.dtype}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
 
 
 def toy_model(**overrides):
@@ -121,6 +174,21 @@ class TestModel:
         p3, _ = model.init_params(8)
         assert all(np.array_equal(p1[k].data, p2[k].data) for k in p1)
         assert any(not np.array_equal(p1[k].data, p3[k].data) for k in p1)
+
+    @pytest.mark.parametrize("config", list(INIT_SHA256))
+    def test_init_draws_the_param_table(self, config):
+        model = CapsuleClassifier(INIT_CONFIGS[config]())
+        rows = model.param_table()
+        shapes = {name: shape for name, shape, _ in rows}
+        assert len(shapes) == len(rows)  # unique names
+        for seed, want in enumerate(INIT_SHA256[config]):
+            params, stats = model.init_params(seed)
+            assert list(params) == [name for name, _, init in rows if init != "stats"]
+            assert list(stats) == [name for name, _, init in rows if init == "stats"]
+            assert all(t.shape == shapes[name] for name, t in params.items())
+            assert all(s.mean.shape == s.var.shape == shapes[name]
+                       for name, s in stats.items())
+            assert init_sha256(params, stats) == want
 
     def test_he_normal_scale(self):
         model, _ = toy_model(stem_widths=(64, 64, 64, 64))
