@@ -18,7 +18,7 @@ from .ablation import LADDER, ladder_config, run_ladder
 from .attention import (AttentionResult, attention_capsules,
                         attention_capsules_reference, default_se_ratio,
                         se_block, se_block_reference)
-from .backbone import Backbone, Bottleneck, Stem, block_widths, parameter_count
+from .backbone import Bottleneck, Stem, block_widths, parameter_count
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ModelConfig, TrainConfig
 from .data import (find_idx_split, load_cifar10_dir, load_idx_pair, make_bars,

@@ -1,4 +1,8 @@
-"""Convolutional backbone: a plain stem plus stages of bottleneck blocks.
+"""Backbone layers: a plain stem and the bottleneck blocks that follow it.
+
+``CapsuleClassifier.layers`` chains a ``Stem`` and three stages of
+``Bottleneck`` blocks.  Both layer types share one protocol: ``prefix``, ``stride``,
+``out_channels``, ``table()`` and ``__call__(params, stats, x, training)``.
 
 Parameters live in a flat ``dict[str, Tensor]`` keyed by dotted prefixes
 ("stage2.block0.conv1.w"), and batch-norm running statistics live in a
@@ -78,6 +82,8 @@ def conv_bn(params: dict, stats: dict, conv: str, bn: str, x, stride: int,
 class Stem:
     """Stack of stride-1 same-padded 3x3 convolutions with ReLU."""
 
+    stride = 1
+
     def __init__(self, prefix: str, in_channels: int, widths: tuple[int, ...]):
         if not widths:
             raise ConfigError("stem needs at least one conv width")
@@ -91,7 +97,8 @@ class Stem:
         return [row for i, (cin, w) in enumerate(zip(cins, self.widths))
                 for row in conv_rows(f"{self.prefix}.conv{i}", 3, 3, cin, w, bias=True)]
 
-    def __call__(self, params: dict, x):
+    def __call__(self, params: dict, stats: dict, x, training: bool):
+        """``stats`` and ``training`` are unused: the stem has no batch norm."""
         for i in range(len(self.widths)):
             name = f"{self.prefix}.conv{i}"
             x = ops.relu(ops.add(ops.conv2d(x, params[name + ".w"]), params[name + ".b"]))
@@ -130,40 +137,6 @@ class Bottleneck:
                          params[f"{p}.se.w2"], params[f"{p}.se.b2"])
         skip = conv_bn(params, stats, f"{p}.proj", f"{p}.projbn", x, self.stride, training)
         return ops.relu(ops.add(y, skip))
-
-
-class Backbone:
-    """Stem followed by three stages of bottleneck blocks, kept as one flat
-    list; only the first block of stages 2 and 3 strides, halving the
-    resolution."""
-
-    def __init__(self, in_channels: int, stem_widths: tuple[int, ...],
-                 stage_widths: tuple[int, int, int], stage_depths: tuple[int, int, int],
-                 variant: str = "wide", use_se: bool = True):
-        if len(stage_widths) != 3 or len(stage_depths) != 3:
-            raise ConfigError("backbone expects exactly 3 stages")
-        self.stem = Stem("stem", in_channels, stem_widths)
-        self.blocks: list[Bottleneck] = []
-        cin = self.stem.out_channels
-        for s, (f, depth) in enumerate(zip(stage_widths, stage_depths), start=1):
-            if depth < 1:
-                raise ConfigError(f"stage depth must be >= 1, got {depth}")
-            for i in range(depth):
-                stride = 2 if s > 1 and i == 0 else 1
-                block = Bottleneck(f"stage{s}.block{i}", cin, f, stride,
-                                   variant=variant, use_se=use_se)
-                self.blocks.append(block)
-                cin = block.out_channels
-        self.out_channels = cin
-
-    def table(self) -> list:
-        return self.stem.table() + [row for block in self.blocks for row in block.table()]
-
-    def __call__(self, params: dict, stats: dict, x, training: bool):
-        x = self.stem(params, x)
-        for block in self.blocks:
-            x = block(params, stats, x, training)
-        return x
 
 
 def parameter_count(params: dict) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from pathlib import Path
 from typing import Union
 
@@ -23,10 +24,14 @@ PathLike = Union[str, Path]
 
 
 def _read_bytes(path: PathLike) -> bytes:
-    path = Path(path)
-    raw = path.read_bytes()
-    if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+    """The file's bytes, gunzipped if they start with the gzip magic.  A
+    missing, unreadable, truncated or corrupt file raises DataFormatError."""
+    try:
+        raw = Path(path).read_bytes()
+        if raw[:2] == b"\x1f\x8b":
+            raw = gzip.decompress(raw)
+    except (OSError, EOFError, zlib.error) as e:
+        raise DataFormatError(f"{path}: cannot read: {getattr(e, 'strerror', None) or e}") from e
     return raw
 
 

@@ -1,6 +1,10 @@
 """Image classifier: conv backbone -> primary capsules -> routed class capsules.
 
-The backbone output is projected by one stride-2 conv + BN into a grid of
+``CapsuleClassifier.layers`` is the backbone: the stem followed by every
+bottleneck block, in order; only the first block of stages 2 and 3
+strides.  The forward pass, the parameter table, the
+primary-grid arithmetic and the gradient check's links all walk this one
+list.  Its output is projected by one stride-2 conv + BN into a grid of
 primary capsules (channel groups of ``primary_caps_dim``), squashed, then
 linearly voted into per-class predictions that a single routing pass turns
 into class poses and activations.  Optionally a class-wise attention gate
@@ -16,7 +20,8 @@ import numpy as np
 
 from . import ops
 from .attention import attention_capsules
-from .backbone import Backbone, bn_rows, conv_bn, conv_rows, parameter_count, se_rows
+from .backbone import (Bottleneck, Stem, bn_rows, conv_bn, conv_rows, parameter_count,
+                       se_rows)
 from .config import ModelConfig
 from .errors import ConfigError, ShapeError
 from .initializers import init_from_table
@@ -43,17 +48,22 @@ class CapsuleClassifier:
     def __init__(self, config: ModelConfig):
         self.config = config
         h, w, c = config.input_shape
-        self.backbone = Backbone(
-            c, config.stem_widths, config.resolved_stage_widths(), config.stage_depths,
-            variant=config.block_variant, use_se=config.use_se)
-        self.primary_channels = self.backbone.out_channels
+        self.layers = [Stem("stem", c, config.stem_widths)]
+        for s, (f, depth) in enumerate(zip(config.resolved_stage_widths(),
+                                           config.stage_depths), start=1):
+            for i in range(depth):
+                self.layers.append(Bottleneck(
+                    f"stage{s}.block{i}", self.layers[-1].out_channels, f,
+                    2 if s > 1 and i == 0 else 1, variant=config.block_variant,
+                    use_se=config.use_se))
+        self.primary_channels = self.layers[-1].out_channels
         if self.primary_channels % config.primary_caps_dim:
             raise ConfigError(
                 f"primary capsule channels {self.primary_channels} must be divisible by "
                 f"capsule dimension {config.primary_caps_dim}")
         # Same padding: each stride s maps a side n to ceil(n / s).
         ph, pw = h, w
-        for stride in [block.stride for block in self.backbone.blocks] + [PRIMARY_STRIDE]:
+        for stride in [layer.stride for layer in self.layers] + [PRIMARY_STRIDE]:
             ph, pw = -(-ph // stride), -(-pw // stride)
         self.primary_grid = (ph, pw)
         self.num_primary = ph * pw * (self.primary_channels // config.primary_caps_dim)
@@ -72,7 +82,8 @@ class CapsuleClassifier:
         caps = ("caps.w", (cfg.num_classes, self.num_primary, cfg.primary_caps_dim,
                            cfg.capsule_dim), cfg.primary_caps_dim)
         c = self.primary_channels  # the primary conv keeps the backbone's width
-        return (self.backbone.table() + conv_rows("primary.conv", 3, 3, c, c)
+        return ([row for layer in self.layers for row in layer.table()]
+                + conv_rows("primary.conv", 3, 3, c, c)
                 + bn_rows("primary.bn", c) + [caps]
                 + (se_rows("attn", cfg.num_classes) if cfg.use_attention else []))
 
@@ -96,11 +107,13 @@ class CapsuleClassifier:
 
     def forward(self, params: dict, stats: dict, x, training: bool = False) -> ModelOutput:
         x = self._as_input(x)
-        return self.head(params, stats, self.backbone(params, stats, x, training), training)
+        for layer in self.layers:
+            x = layer(params, stats, x, training)
+        return self.head(params, stats, x, training)
 
     def head(self, params: dict, stats: dict, feats: Tensor,
              training: bool = False) -> ModelOutput:
-        """Everything after the backbone: primary capsules from its features
+        """Everything after ``layers``: primary capsules from their features
         ``feats``, routing, then the attention gate or the softmax."""
         cfg = self.config
         y = conv_bn(params, stats, "primary.conv", "primary.bn", feats, PRIMARY_STRIDE, training)

@@ -1,11 +1,11 @@
-"""Backbone structure tests: width plans, shapes, strides, parameter counts."""
+"""Backbone structure tests: width plans, shapes, strides, parameter counts,
+and the stem-and-blocks layer list a model builds."""
 
 import numpy as np
 import pytest
 
-from capsnet import Tensor, ops
-from capsnet.backbone import (Backbone, Bottleneck, Stem, block_widths, conv_bn,
-                              parameter_count)
+from capsnet import CapsuleClassifier, ModelConfig, Tensor, ops
+from capsnet.backbone import Bottleneck, Stem, block_widths, conv_bn, parameter_count
 from capsnet.errors import ConfigError
 from capsnet.gradcheck import finite_diff_check
 from capsnet.initializers import init_from_table
@@ -33,9 +33,9 @@ class TestBlockWidths:
 class TestStem:
     def test_keeps_resolution_and_sets_width(self, rng):
         stem = Stem("stem", 3, (4, 8, 16, 32))
-        params, _ = build(stem)
+        params, stats = build(stem)
         x = Tensor(rng.standard_normal((2, 9, 11, 3)))
-        out = stem(params, x)
+        out = stem(params, stats, x, training=True)
         assert out.shape == (2, 9, 11, 32)
         assert np.all(out.data >= 0)  # ends in ReLU
 
@@ -93,48 +93,60 @@ class TestBottleneck:
             assert parameter_count(pw) > parameter_count(ps)
 
 
+def model_of(**overrides):
+    return CapsuleClassifier(ModelConfig(dtype="float64", **overrides))
+
+
+def run_layers(layers, params, stats, x, training):
+    for layer in layers:
+        x = layer(params, stats, x, training)
+    return x
+
+
 class TestStageAndBackbone:
     def test_stage_strides_only_first_block(self):
-        bb = Backbone(3, (8,), (16, 32, 64), (2, 3, 2))
-        assert [b.stride for b in bb.blocks] == [1, 1, 2, 1, 1, 2, 1]
-        assert [b.prefix for b in bb.blocks] == [
-            "stage1.block0", "stage1.block1",
+        layers = model_of(input_shape=(16, 16, 3), stem_widths=(8,),
+                          stage_depths=(2, 3, 2), primary_caps_dim=4).layers
+        assert [layer.stride for layer in layers] == [1, 1, 1, 2, 1, 1, 2, 1]
+        assert [layer.prefix for layer in layers] == [
+            "stem", "stage1.block0", "stage1.block1",
             "stage2.block0", "stage2.block1", "stage2.block2",
             "stage3.block0", "stage3.block1"]
 
-    def test_stage_depth_validated(self):
-        with pytest.raises(ConfigError):
-            Backbone(3, (8,), (16, 32, 64), (1, 0, 1))
-
     def test_backbone_shapes(self, rng):
-        bb = Backbone(3, (4, 8, 16, 32), (16, 32, 64), (1, 1, 1))
-        params, stats = build(bb)
-        out = bb(params, stats, Tensor(rng.standard_normal((2, 16, 16, 3))),
-                 training=True)
+        model = model_of(input_shape=(16, 16, 3), stem_widths=(4, 8, 16, 32),
+                         stage_depths=(1, 1, 1))
+        params, stats = model.init_params(0)
+        out = run_layers(model.layers, params, stats,
+                         Tensor(rng.standard_normal((2, 16, 16, 3))), training=True)
         # stem + stage1 keep 16x16; stages 2 and 3 halve twice
         assert out.shape == (2, 4, 4, 64)
-        assert bb.out_channels == 64
+        assert model.layers[-1].out_channels == model.primary_channels == 64
 
     def test_backbone_needs_three_stages(self):
-        with pytest.raises(ConfigError):
-            Backbone(3, (8,), (16, 32), (1, 1))
+        for depths in [(1, 1), (1, 1, 1, 1)]:
+            with pytest.raises(ConfigError):
+                model_of(stem_widths=(8,), stage_depths=depths)
 
     def test_eval_mode_uses_running_stats(self, rng):
-        bb = Backbone(1, (4, 8), (8, 8, 8), (1, 1, 1))
-        params, stats = build(bb)
+        model = model_of(input_shape=(8, 8, 1), stem_widths=(4, 8),
+                         stage_depths=(1, 1, 1), primary_caps_dim=4)
+        params, stats = model.init_params(0)
         x = Tensor(rng.standard_normal((4, 8, 8, 1)))
-        bb(params, stats, x, training=True)   # populate running stats
-        a = bb(params, stats, x, training=False).data
-        b = bb(params, stats, x, training=False).data
+        run_layers(model.layers, params, stats, x, training=True)   # populate running stats
+        a = run_layers(model.layers, params, stats, x, training=False).data
+        b = run_layers(model.layers, params, stats, x, training=False).data
         assert np.array_equal(a, b)  # eval is pure
 
     def test_depths_442_structure(self):
-        bb = Backbone(3, (16, 32, 64, 128), (64, 128, 256), (4, 8, 4))
-        firsts = [i for i, b in enumerate(bb.blocks) if b.prefix.endswith(".block0")]
-        assert len(bb.blocks) == 16 and firsts == [0, 4, 12]
-        assert [bb.blocks[i].widths for i in firsts] == [
+        layers = model_of(stem_widths=(16, 32, 64, 128), stage_depths=(4, 8, 4)).layers
+        stem, blocks = layers[0], layers[1:]
+        assert isinstance(stem, Stem) and all(isinstance(b, Bottleneck) for b in blocks)
+        firsts = [i for i, b in enumerate(blocks) if b.prefix.endswith(".block0")]
+        assert len(blocks) == 16 and firsts == [0, 4, 12]
+        assert [blocks[i].widths for i in firsts] == [
             (16, 32, 64), (32, 64, 128), (64, 128, 256)]
-        assert bb.out_channels == 256
+        assert layers[-1].out_channels == 256
 
 
 class TestConvBn:

@@ -118,6 +118,14 @@ def test_file_dataset_requires_data_dir(tmp_path, capsys):
     assert "--data-dir" in capsys.readouterr().err
 
 
+def test_unreadable_data_file_is_clean_error(tmp_path, capsys):
+    code = main(["train", "--dataset", "cifar10", "--data-dir", str(tmp_path),
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and str(tmp_path / "data_batch_1") in err
+
+
 def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -43,6 +43,19 @@ class TestIdx:
         gz.write_bytes(gzip.compress(ip.read_bytes()))
         assert np.array_equal(load_idx_images(gz), images)
 
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+    def test_damaged_gzip(self, tmp_path, idx_files, damage):
+        ip, _, _, _ = idx_files
+        packed = bytearray(gzip.compress(ip.read_bytes()))
+        if damage == "truncated":
+            packed = packed[:len(packed) // 2]
+        else:
+            packed[12:-8] = bytes(b ^ 0xFF for b in packed[12:-8])
+        gz = tmp_path / "imgs.gz"
+        gz.write_bytes(bytes(packed))
+        with pytest.raises(DataFormatError, match="imgs.gz"):
+            load_idx_images(gz)
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad"
         p.write_bytes(struct.pack(">IIII", 0xDEADBEEF, 1, 2, 2) + b"\x00" * 4)
@@ -126,6 +139,10 @@ class TestCifar10:
         loaded = load_cifar10_dir(tmp_path)
         assert loaded["train"][0].shape == (10, 32, 32, 3)
         assert loaded["test"][0].shape == (3, 32, 32, 3)
+
+    def test_missing_batch(self, tmp_path):
+        with pytest.raises(DataFormatError, match="data_batch_1"):
+            load_cifar10_dir(tmp_path)
 
 
 class TestNormalize:

@@ -170,7 +170,7 @@ def test_each_toy_tensor_belongs_to_the_one_link_that_reads_it():
     model, params, stats, x, labels = _toy_problem(0)
     log = _ReadLog(params)
     links = model_links(model, log, stats, labels)
-    assert len(links) == 1 + len(model.backbone.blocks) + 1
+    assert len(links) == len(model.layers) + 1
     t, readers = Tensor(x), {}
     for i, (_, run) in enumerate(links):
         log.read.clear()
@@ -184,7 +184,14 @@ def test_each_toy_tensor_belongs_to_the_one_link_that_reads_it():
 
 
 def test_a_probe_in_each_link_reads_the_full_forward_loss():
-    params, full_loss, probe_loss = model_losses(seed=0)
+    params, loss, probe_loss = model_losses(seed=0)
+    model, _, stats, x, labels = _toy_problem(0)
+
+    def full_forward_loss():  # reads the probes' params, perturbed in place
+        out = model.forward(params, stats, Tensor(x), training=True)
+        return cross_entropy_loss(out.probs, labels).item()
+
+    assert loss().item() == full_forward_loss()
     firsts = {}  # the first tensor of the stem, of each block, and of
     for name in params:  # the head's primary conv, votes and attention
         firsts.setdefault(name.rsplit(".", 2)[0], name)
@@ -195,5 +202,5 @@ def test_a_probe_in_each_link_reads_the_full_forward_loss():
         original = flat[0]
         for value in (original, original + DEFAULT_STEP, original - DEFAULT_STEP):
             flat[0] = value
-            assert probe_loss(name)().item() == full_loss().item(), name
+            assert probe_loss(name)().item() == full_forward_loss(), name
         flat[0] = original

@@ -90,6 +90,7 @@ class TestConfig:
         dict(dtype="float16"),
         dict(primary_caps_dim=0),
         dict(input_shape=(0, 16, 1)),
+        dict(stage_depths=(1, 0, 1)),
     ])
     def test_validation_errors(self, bad):
         with pytest.raises(ConfigError):
