@@ -49,39 +49,38 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
                    help="seed for synthetic generation / subset selection")
 
 
-def _load_dataset(args) -> tuple[tuple, tuple, tuple, int]:
-    """Returns ((x_tr, y_tr), (x_te, y_te), input_shape, num_classes)."""
+def _load_split(args, split: str) -> tuple[np.ndarray, np.ndarray]:
+    """The ``split`` ("train" or "test") of the dataset the flags name, as
+    (normalized images, labels)."""
     synthetic = args.dataset in ("blobs", "bars")
     least = 1 if synthetic else 0  # 0 keeps a file-backed split whole
     for flag, n in (("--samples", args.samples), ("--test-samples", args.test_samples)):
         if n < least:
             raise ConfigError(f"{flag} must be >= {least} for dataset {args.dataset!r}, got {n}")
+    test = split == "test"
+    n = args.test_samples if test else args.samples
     if synthetic:
         maker = datasets.make_blobs if args.dataset == "blobs" else datasets.make_bars
-        x_tr, y_tr = maker(args.samples, num_classes=args.classes,
-                           image_size=args.image_size, noise=args.noise,
-                           seed=args.data_seed)
-        x_te, y_te = maker(args.test_samples, num_classes=args.classes,
-                           image_size=args.image_size, noise=args.noise,
-                           seed=args.data_seed + 1)
-        return (x_tr, y_tr), (x_te, y_te), x_tr.shape[1:], args.classes
+        return maker(n, num_classes=args.classes, image_size=args.image_size,
+                     noise=args.noise, seed=args.data_seed + int(test))
     if args.data_dir is None:
         raise CapsnetError(f"--data-dir is required for dataset {args.dataset!r}")
     if args.dataset == "idx":
-        img, lbl = datasets.find_idx_split(args.data_dir, "train")
-        x_tr, y_tr = datasets.load_idx_pair(img, lbl)
-        img, lbl = datasets.find_idx_split(args.data_dir, "test")
-        x_te, y_te = datasets.load_idx_pair(img, lbl)
+        x, y = datasets.load_idx_pair(*datasets.find_idx_split(args.data_dir, split))
     else:
-        loaded = datasets.load_cifar10_dir(args.data_dir)
-        (x_tr, y_tr), (x_te, y_te) = loaded["train"], loaded["test"]
-    if args.samples and args.samples < x_tr.shape[0]:
-        x_tr, y_tr = datasets.take_subset(x_tr, y_tr, args.samples, seed=args.data_seed)
-    if args.test_samples and args.test_samples < x_te.shape[0]:
-        x_te, y_te = datasets.take_subset(x_te, y_te, args.test_samples, seed=args.data_seed)
-    x_tr = datasets.normalize_images(x_tr)
-    x_te = datasets.normalize_images(x_te)
-    classes = int(max(y_tr.max(), y_te.max())) + 1
+        x, y = datasets.load_cifar10_split(args.data_dir, split)
+    if n and n < x.shape[0]:
+        x, y = datasets.take_subset(x, y, n, seed=args.data_seed)
+    return datasets.normalize_images(x), y
+
+
+def _load_dataset(args) -> tuple[tuple, tuple, tuple, int]:
+    """Returns ((x_tr, y_tr), (x_te, y_te), input_shape, num_classes)."""
+    (x_tr, y_tr), (x_te, y_te) = _load_split(args, "train"), _load_split(args, "test")
+    if args.dataset in ("blobs", "bars"):
+        classes = args.classes
+    else:
+        classes = int(max(y_tr.max(), y_te.max())) + 1
     return (x_tr, y_tr), (x_te, y_te), x_tr.shape[1:], classes
 
 
@@ -170,15 +169,15 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model_cfg, state = load_checkpoint(args.checkpoint)
     model = CapsuleClassifier(model_cfg)
-    _, test, input_shape, num_classes = _load_dataset(args)
+    x_te, y_te = _load_split(args, "test")
     # A synthetic set is drawn for its class count and image size; a file
     # subset may lack the top class, so evaluate range-checks its labels.
     if args.dataset in ("blobs", "bars"):
-        _check_dataset(model_cfg, input_shape, num_classes, f"checkpoint {args.checkpoint}")
-    metrics = evaluate(model, state.params, state.stats, test[0], test[1],
+        _check_dataset(model_cfg, x_te.shape[1:], args.classes, f"checkpoint {args.checkpoint}")
+    metrics = evaluate(model, state.params, state.stats, x_te, y_te,
                        batch_size=args.batch_size)
     print(json.dumps({"loss": metrics["loss"], "accuracy": metrics["accuracy"],
-                      "samples": int(test[0].shape[0]), "epoch": state.epoch},
+                      "samples": int(x_te.shape[0]), "epoch": state.epoch},
                      sort_keys=True))
     return 0
 

@@ -134,14 +134,18 @@ def load_cifar10_batch(path: PathLike) -> tuple[np.ndarray, np.ndarray]:
     return images, labels
 
 
+def load_cifar10_split(directory: PathLike, split: str = "train") -> tuple[np.ndarray, np.ndarray]:
+    """Load the five training batches, concatenated, or the test batch."""
+    directory = Path(directory)
+    if split != "train":
+        return load_cifar10_batch(directory / "test_batch")
+    parts = [load_cifar10_batch(directory / f"data_batch_{i}") for i in range(1, 6)]
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
 def load_cifar10_dir(directory: PathLike) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Load the standard five training batches plus the test batch."""
-    directory = Path(directory)
-    train_parts = [load_cifar10_batch(directory / f"data_batch_{i}") for i in range(1, 6)]
-    xs = np.concatenate([p[0] for p in train_parts])
-    ys = np.concatenate([p[1] for p in train_parts])
-    test = load_cifar10_batch(directory / "test_batch")
-    return {"train": (xs, ys), "test": test}
+    return {split: load_cifar10_split(directory, split) for split in ("train", "test")}
 
 
 def normalize_images(images: np.ndarray) -> np.ndarray:

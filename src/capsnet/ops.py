@@ -8,12 +8,17 @@ their inputs (float64 for verification paths, float32 for training paths).
 Each op has one form: conv2d pads "same" and runs every pass as one
 streamed im2col matmul, softmax runs along the last axis and batch_norm is
 the training op; eval batch norm is ``fold_batch_norm``, which
-``backbone.conv_bn`` folds into the conv before it.
+``backbone.conv_bn`` folds into the conv before it.  ``reduce_sum``,
+``reduce_mean`` and the gradients of broadcast operands and of the conv bias
+sum through ``_sum``, which runs a large sum over leading or middle axes
+(batch norm's per-channel statistics, the SE squeeze, the routing sums) as
+one BLAS matrix-vector product.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from math import prod
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -26,6 +31,15 @@ Axis = Union[None, int, tuple[int, ...]]
 
 BN_EPS = 1e-5        # added to the variance before its square root
 BN_MOMENTUM = 0.9    # weight of the old running statistics per update
+
+# Rows of trailing axes a sum must walk before ``_sum`` runs it as a BLAS
+# matrix-vector product: at 256 rows the product is 1.3-2.1x faster than
+# numpy's reduce loop for 2-256 floats a row, at 64 it is slower.
+_GEMV_ROWS = 256
+
+# Bytes of window matrix a conv pass builds at a time: every pass streams its
+# batch through this in runs of whole samples, as many as fit (at least one).
+_IM2COL_BUDGET = 4 << 20
 
 
 def _make(data: np.ndarray, pairs: Sequence[tuple[Tensor, Optional[callable]]]) -> Tensor:
@@ -42,17 +56,36 @@ def _make(data: np.ndarray, pairs: Sequence[tuple[Tensor, Optional[callable]]]) 
     return out
 
 
+def _sum(a: np.ndarray, axes: Optional[tuple[int, ...]], keepdims: bool = False) -> np.ndarray:
+    """``a.sum(axis=axes, keepdims=keepdims)`` for sorted non-negative ``axes``.
+
+    numpy sums leading axes of a C-contiguous array one row of the trailing
+    axes at a time, and in a per-channel sum a row is only a few floats
+    long.  When ``axes`` are adjacent and end before the last axis, and the
+    array holds at least ``_GEMV_ROWS`` such rows, the sum is instead one
+    BLAS product of a ones vector with ``a`` seen as [before, summed, after].
+    """
+    # The rows number at most a.size / a.shape[-1]: one product turns small
+    # arrays away before any other test.
+    if (axes and a.size >= _GEMV_ROWS * a.shape[-1] and a.flags.c_contiguous
+            and a.dtype.char in "fd"):
+        first, last = axes[0], axes[-1]
+        before, after = a.shape[:first], a.shape[last + 1:]
+        n, m = prod(before), prod(a.shape[first:last + 1])
+        if last - first == len(axes) - 1 and after and n * m >= _GEMV_ROWS:
+            total = np.matmul(np.ones(m, a.dtype), a.reshape(n, m, prod(after)))
+            return total.reshape(before + (1,) * len(axes) * keepdims + after)
+    return np.add.reduce(a, axis=axes, keepdims=keepdims)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to ``shape``."""
     if grad.shape == shape:
         return grad
     extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+    axes = tuple(range(extra)) + tuple(
+        extra + i for i, s in enumerate(shape) if s == 1 and grad.shape[extra + i] != 1)
+    return _sum(grad, axes, keepdims=True).reshape(shape)
 
 
 def _pair(a, b) -> tuple[Tensor, Tensor]:
@@ -97,7 +130,7 @@ def subtract(a, b) -> Tensor:
     data = a.data - b.data
     return _make(data, [
         (a, lambda g, sa=a.data.shape: _unbroadcast(g, sa)),
-        (b, lambda g, sb=b.data.shape: _unbroadcast(-g, sb)),
+        (b, lambda g, sb=b.data.shape: -_unbroadcast(g, sb)),
     ])
 
 
@@ -185,7 +218,7 @@ def reshape(x, shape: tuple[int, ...]) -> Tensor:
 def reduce_sum(x, axis: Axis = None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     axes = _normalize_axes(axis, x.ndim)
-    data = x.data.sum(axis=axes, keepdims=keepdims)
+    data = _sum(x.data, axes, keepdims)
     return _make(data, [(x, lambda g, a=axes, k=keepdims, s=x.data.shape:
                          _spread(g, a, k, s).copy())])
 
@@ -193,8 +226,9 @@ def reduce_sum(x, axis: Axis = None, keepdims: bool = False) -> Tensor:
 def reduce_mean(x, axis: Axis = None) -> Tensor:
     x = as_tensor(x)
     axes = _normalize_axes(axis, x.ndim)
-    data = x.data.mean(axis=axes)
-    count = x.data.size // max(data.size, 1)
+    total = _sum(x.data, axes)
+    count = x.data.size // max(total.size, 1)
+    data = total / count
     return _make(data, [(x, lambda g, a=axes, s=x.data.shape, c=count:
                          _spread(g, a, False, s) / c)])
 
@@ -258,11 +292,6 @@ def capsule_votes(w, u) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # convolution (NHWC layout, [kh, kw, c_in, c_out] kernels)
-
-# Bytes of window matrix a conv pass builds at a time: every pass streams its
-# batch through this in runs of whole samples, as many as fit (at least one).
-_IM2COL_BUDGET = 4 << 20
-
 
 def _im2col(xs: np.ndarray, kh: int, kw: int, stride: int, pads) -> np.ndarray:
     """The [len(xs)·ho·wo, kh·kw·C] window matrix of a run of whole samples
@@ -382,7 +411,7 @@ def conv2d(x, w, stride: int = 1, bias=None) -> Tensor:
 
     pairs = [(x, vjp_x), (w, vjp_w)]
     if b is not None:
-        pairs.append((b, lambda g: g.sum(axis=(0, 1, 2))))
+        pairs.append((b, lambda g: _sum(g, (0, 1, 2))))
     return _make(data, pairs)
 
 

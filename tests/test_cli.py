@@ -6,8 +6,9 @@ import shutil
 import numpy as np
 import pytest
 
-from capsnet import load_checkpoint
-from capsnet.cli import main
+from capsnet import (CapsuleClassifier, ModelConfig, TrainConfig, init_train_state,
+                     load_checkpoint, save_checkpoint)
+from capsnet.cli import TOY_OVERRIDES, main
 
 FAST_DATA = ["--dataset", "blobs", "--samples", "64", "--test-samples", "32",
              "--image-size", "12", "--classes", "3", "--data-seed", "0"]
@@ -124,6 +125,33 @@ def test_unreadable_data_file_is_clean_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "error:" in err and str(tmp_path / "data_batch_1") in err
+
+
+def test_cifar10_eval_reads_only_the_test_batch(tmp_path, capsys, rng):
+    cfg = ModelConfig(input_shape=(32, 32, 3), num_classes=10, **TOY_OVERRIDES)
+    checkpoint = tmp_path / "checkpoint"
+    save_checkpoint(checkpoint, cfg, init_train_state(CapsuleClassifier(cfg), TrainConfig()))
+    only_test, full = tmp_path / "only_test", tmp_path / "full"
+    only_test.mkdir()
+    full.mkdir()
+
+    def evaluate(data_dir):
+        capsys.readouterr()
+        code = main(["eval", "--dataset", "cifar10", "--data-dir", str(data_dir),
+                     "--test-samples", "7", "--checkpoint", str(checkpoint)])
+        out, err = capsys.readouterr()
+        return code, out.strip().splitlines()[-1] if code == 0 else err
+
+    code, err = evaluate(only_test)
+    assert code == 2 and str(only_test / "test_batch") in err and "data_batch" not in err
+    for name in ["test_batch"] + [f"data_batch_{i}" for i in range(1, 6)]:
+        records = rng.integers(0, 256, (10, 3073), dtype=np.uint8)
+        records[:, 0] = np.arange(10)
+        (full / name).write_bytes(records.tobytes())
+    shutil.copy(full / "test_batch", only_test / "test_batch")
+    code, line = evaluate(only_test)
+    assert code == 0 and json.loads(line)["samples"] == 7
+    assert evaluate(full) == (0, line)
 
 
 def test_unknown_subcommand_exits_via_argparse():

@@ -5,7 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from capsnet import CapsuleClassifier, ModelConfig, Tensor
+from capsnet import (CapsuleClassifier, GradientTape, ModelConfig, Tensor,
+                     cross_entropy_loss, one_hot)
 from capsnet.errors import ConfigError, ShapeError
 from capsnet.gradcheck import toy_model_config
 
@@ -49,6 +50,12 @@ INIT_SHA256 = {
         "3e33cebcd5b7c4347e802f5478016379ffd99c077daadc703fd458fb3ffad6bc",
     ),
 }
+
+
+# Tape records of one training step's forward pass and loss.  perfbench pins
+# the same counts and refuses every step that differs, so a change that adds
+# or removes a record must set the new counts there as well.
+TAPE_RECORDS = {"paper": 1111, "blobs": 266, "toy": 266}
 
 
 def init_sha256(params: dict, stats: dict) -> str:
@@ -190,6 +197,18 @@ class TestModel:
             assert all(s.mean.shape == s.var.shape == shapes[name]
                        for name, s in stats.items())
             assert init_sha256(params, stats) == want
+
+    @pytest.mark.parametrize("config", list(TAPE_RECORDS))
+    def test_train_step_tape_records(self, config):
+        model = CapsuleClassifier(INIT_CONFIGS[config]())
+        params, stats = model.init_params(0)
+        cfg = model.config
+        x = np.random.default_rng(0).standard_normal((2, *cfg.input_shape))
+        with GradientTape() as tape:
+            out = model.forward(params, stats, x, training=True)
+            cross_entropy_loss(out.probs, one_hot(np.arange(2), cfg.num_classes,
+                                                  dtype=model.np_dtype))
+        assert len(tape) == TAPE_RECORDS[config]
 
     def test_he_normal_scale(self):
         model, _ = toy_model(stem_widths=(64, 64, 64, 64))

@@ -312,6 +312,57 @@ class TestReductionsAndShape:
         assert np.allclose(y.data, x.mean())
         assert np.allclose(g, np.full_like(x, 1 / x.size))
 
+    @pytest.mark.parametrize("shape,axes,keepdims", [
+        ((8, 8, 8, 16), (0, 1, 2), False),    # batch norm's per-channel sums
+        ((2, 4, 4, 8), (0, 1, 2), False),     # the same below the cut
+        ((8, 8, 8, 16), (1, 2), False),       # the SE squeeze
+        ((2, 3, 3, 4), (1, 2), False),
+        ((8, 10, 256, 16), (2,), False),      # routing's sum over axis -2
+        ((4, 5, 16), (2,), False),            # trailing axis
+        ((8, 8, 8, 16), (0, 2), False),       # non-adjacent axes
+        ((8, 8, 8, 16), None, False),
+        ((8, 8, 8, 16), (0, 1, 2), True),
+        ((8, 8, 8, 16), (1, 2), True),
+        ((300, 1), (0,), True),               # a [C]=[1] bias over a batch
+    ])
+    def test_sum_matches_numpy(self, rng, shape, axes, keepdims):
+        a = rng.standard_normal(shape)
+        got = ops._sum(a, axes, keepdims)
+        want = a.sum(axis=axes, keepdims=keepdims)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.all(np.abs(got - want)
+                      <= 1e-12 * np.abs(a).sum(axis=axes, keepdims=keepdims))
+
+    @pytest.mark.parametrize("layout", ["strided", "transposed", "broadcast"])
+    def test_sum_of_non_contiguous_views(self, rng, layout):
+        base = rng.standard_normal((16, 32, 8, 4))
+        a = {"strided": base[:, ::2],
+             "transposed": base.transpose(1, 0, 2, 3),
+             "broadcast": np.broadcast_to(base[:1], base.shape)}[layout]
+        assert not a.flags.c_contiguous
+        np.testing.assert_allclose(ops._sum(a, (0, 1, 2)), a.sum(axis=(0, 1, 2)),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [ops._GEMV_ROWS - 1, ops._GEMV_ROWS])
+    def test_sum_takes_the_matrix_vector_product_from_the_cut(self, rng, monkeypatch, rows):
+        calls = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda *a: calls.append(1) or matmul(*a))
+        a = rng.standard_normal((rows, 1, 8))
+        np.testing.assert_allclose(ops._sum(a, (0, 1)), a.sum(axis=(0, 1)),
+                                   rtol=1e-12, atol=1e-12)
+        assert len(calls) == (rows >= ops._GEMV_ROWS)
+
+    def test_float32_channel_sum_is_no_less_accurate(self, rng):
+        # numpy adds the 16384 rows one after another; the product must not
+        # round worse against a float64 oracle
+        a = rng.random((64, 16, 16, 16), dtype=np.float32)
+        oracle = a.astype(np.float64).sum(axis=(0, 1, 2))
+        got = ops._sum(a, (0, 1, 2))
+        assert got.dtype == np.float32
+        assert (np.abs(got - oracle).max()
+                <= np.abs(a.sum(axis=(0, 1, 2)) - oracle).max())
+
     def test_reshape_is_view_roundtrip(self, rng):
         x = rng.standard_normal((2, 6))
         t = Tensor(x, requires_grad=True)
