@@ -43,8 +43,8 @@ def default_se_ratio(channels: int) -> int:
 def _excite(pooled, w1, b1, w2, b2) -> Tensor:
     """The squeeze-excite gate of pooled [N,C] features:
     sigmoid(W2 relu(W1 pooled + b1) + b2)."""
-    hidden = ops.relu(ops.dense(pooled, w1, b1))
-    return ops.sigmoid(ops.dense(hidden, w2, b2))
+    hidden = ops.relu(ops.add(ops.matmul(pooled, w1), b1))
+    return ops.sigmoid(ops.add(ops.matmul(hidden, w2), b2))
 
 
 def _excite_reference(pooled: np.ndarray, w1, b1, w2, b2) -> np.ndarray:

@@ -4,9 +4,9 @@ The file holds an 8-byte little-endian header length, the UTF-8 JSON header
 (``format_version``, ``epoch``, ``model_config``, ``train_config`` and
 ``payload_sha256``), then the payload: every array, little-endian, params by
 name, then each batch norm's mean and variance by name, then velocities by
-name.  It stores no names, shapes or dtypes: :func:`_layout` reads them
-from the model config's parameter table, drawing no weight, and save and
-load both use it.  The payload's SHA-256 makes corruption surface as
+name.  It stores no names, shapes or dtypes: save and load both read them
+from the model config's parameter table through :func:`_layout`, drawing
+no weight.  The payload's SHA-256 makes corruption surface as
 :class:`CheckpointError` rather than silent drift.  Arrays are written with
 ``tobytes()`` and read back bit-exactly.
 """
@@ -47,14 +47,13 @@ def _arrays(params: dict, stats: dict, velocity: dict) -> list:
             + [("velocity", name, velocity[name]) for name in sorted(velocity)])
 
 
-def _layout(model_config: ModelConfig) -> tuple[list, np.dtype]:
-    """The (section, name, shape) list of the arrays ``model_config``
-    builds, in payload order, and their little-endian dtype, read from the
-    config's parameter table: nothing is drawn."""
-    rows = CapsuleClassifier(model_config).param_table()
+def _layout(rows: list) -> list:
+    """The (section, name, shape) list of the arrays a model config's
+    parameter table ``rows`` describe, in payload order.  Each row is two
+    arrays: a param and its velocity, or a batch norm's mean and variance."""
     shapes = {name: shape for name, shape, init in rows if init != "stats"}
     stats = {name: (shape, shape) for name, shape, init in rows if init == "stats"}
-    return _arrays(shapes, stats, shapes), np.dtype(model_config.dtype).newbyteorder("<")
+    return _arrays(shapes, stats, shapes)
 
 
 def _refuse_directory(path: Path) -> None:
@@ -85,7 +84,8 @@ def save_checkpoint(path, model_config: ModelConfig, state: TrainState) -> None:
     """
     path = Path(path)
     _refuse_directory(path)
-    want, dtype = _layout(model_config)
+    want = _layout(CapsuleClassifier(model_config).param_table())
+    dtype = np.dtype(model_config.dtype).newbyteorder("<")
     arrays = _arrays({name: t.data for name, t in state.params.items()},
                      {name: (s.mean, s.var) for name, s in state.stats.items()}, state.velocity)
     got = [(section, name, arr.shape) for section, name, arr in arrays]
@@ -157,14 +157,18 @@ def load_checkpoint(path) -> tuple[ModelConfig, TrainState]:
         train_config = TrainConfig.from_dict(header["train_config"])
     except AttributeError as e:  # a config that is not an object
         raise CheckpointError(f"{path}: malformed config: {e}") from e
-    layout, dtype = _layout(model_config)
-    counts = [math.prod(shape) for _, _, shape in layout]
-    if len(payload) != sum(counts) * dtype.itemsize:
+    # The size comes from the rows alone, so a short payload is refused
+    # before the payload-order layout is built and sorted.
+    rows = CapsuleClassifier(model_config).param_table()
+    dtype = np.dtype(model_config.dtype).newbyteorder("<")
+    size = 2 * sum(math.prod(shape) for _, shape, _ in rows) * dtype.itemsize
+    if len(payload) != size:
         raise CheckpointError(f"{path}: payload has {len(payload)} bytes, the model "
-                              f"config's arrays take {sum(counts) * dtype.itemsize}")
+                              f"config's arrays take {size}")
 
     arrays, offset = {}, 0  # section -> name -> array
-    for (section, name, shape), count in zip(layout, counts):
+    for section, name, shape in _layout(rows):
+        count = math.prod(shape)
         arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
         arrays.setdefault(section, {})[name] = arr.reshape(shape).astype(dtype.newbyteorder("="))
         offset += count * dtype.itemsize

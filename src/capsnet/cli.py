@@ -157,10 +157,12 @@ def cmd_train(args) -> int:
           f"{model.num_primary} primary capsules", flush=True)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    fit(model, state, train, eval_data=test, csv_path=out / "history.csv",
-        verbose=not args.quiet)
+    rows = fit(model, state, train, eval_data=test, csv_path=out / "history.csv",
+               verbose=not args.quiet)
     save_checkpoint(out / "checkpoint", model_cfg, state)
-    final = evaluate(model, state.params, state.stats, test[0], test[1])
+    # The last epoch's row already evaluated the final model on ``test``.
+    final = ({"loss": rows[-1]["val_loss"], "accuracy": rows[-1]["val_accuracy"]} if rows
+             else evaluate(model, state.params, state.stats, test[0], test[1]))
     print(f"final: loss {final['loss']:.4f}  accuracy {final['accuracy']:.4f}")
     print(f"wrote {out / 'history.csv'} and {out / 'checkpoint'}")
     return 0

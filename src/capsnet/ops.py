@@ -2,8 +2,10 @@
 
 Every public function here computes its result eagerly with numpy and, when a
 GradientTape is active and some input participates in differentiation,
-records vector-Jacobian closures on the tape.  Outputs keep the dtype of
-their inputs (float64 for verification paths, float32 for training paths).
+records one ``(input key, vjp)`` link per tracked input on the tape.  A vjp
+may return its cotangent, a view of it or a read-only broadcast; only
+``GradientTape.gradient`` hands out writable arrays.  Outputs keep the dtype
+of their inputs (float64 for verification paths, float32 for training paths).
 
 Each op has one form: conv2d pads "same" and runs every pass as one
 streamed im2col matmul, softmax runs along the last axis and batch_norm is
@@ -42,17 +44,16 @@ _GEMV_ROWS = 256
 _IM2COL_BUDGET = 4 << 20
 
 
-def _make(data: np.ndarray, pairs: Sequence[tuple[Tensor, Optional[callable]]]) -> Tensor:
-    """Build the output tensor and record vjps for tracked inputs."""
+def _make(data: np.ndarray, pairs: Sequence[tuple[Tensor, callable]]) -> Tensor:
+    """Build the output tensor and, under a tape, record one link per
+    tracked input; the output is tracked exactly when some link is."""
+    out = Tensor(data)
     tape = active_tape()
-    tracked = tape is not None and any(t.requires_grad for t, _ in pairs)
-    out = Tensor(data, requires_grad=tracked)
-    if tracked:
-        tape.record(
-            out,
-            tuple(t for t, _ in pairs),
-            tuple(v if t.requires_grad else None for t, v in pairs),
-        )
+    if tape is not None:
+        links = [(t.key, vjp) for t, vjp in pairs if t.requires_grad]
+        if links:
+            out.requires_grad = True
+            tape.record(out, links)
     return out
 
 
@@ -107,7 +108,8 @@ def _normalize_axes(axis: Axis, ndim: int) -> Optional[tuple[int, ...]]:
 
 def _spread(grad: np.ndarray, axes: Optional[tuple[int, ...]], keepdims: bool,
             shape: tuple[int, ...]) -> np.ndarray:
-    """Expand a reduced gradient back to the pre-reduction shape."""
+    """Expand a reduced gradient back to the pre-reduction shape, as a
+    read-only broadcast view."""
     if axes is not None and not keepdims:
         grad = np.expand_dims(grad, axes)
     return np.broadcast_to(grad, shape)
@@ -151,11 +153,6 @@ def divide(a, b) -> Tensor:
         (b, lambda g, ad=a.data, bd=b.data, sb=b.data.shape:
             _unbroadcast(-g * ad / (bd * bd), sb)),
     ])
-
-
-def negative(x) -> Tensor:
-    x = as_tensor(x)
-    return _make(-x.data, [(x, lambda g: -g)])
 
 
 def exp(x) -> Tensor:
@@ -220,7 +217,7 @@ def reduce_sum(x, axis: Axis = None, keepdims: bool = False) -> Tensor:
     axes = _normalize_axes(axis, x.ndim)
     data = _sum(x.data, axes, keepdims)
     return _make(data, [(x, lambda g, a=axes, k=keepdims, s=x.data.shape:
-                         _spread(g, a, k, s).copy())])
+                         _spread(g, a, k, s))])
 
 
 def reduce_mean(x, axis: Axis = None) -> Tensor:
@@ -230,7 +227,7 @@ def reduce_mean(x, axis: Axis = None) -> Tensor:
     count = x.data.size // max(total.size, 1)
     data = total / count
     return _make(data, [(x, lambda g, a=axes, s=x.data.shape, c=count:
-                         _spread(g, a, False, s) / c)])
+                         _spread(g / c, a, False, s))])
 
 
 def softmax(x) -> Tensor:
@@ -261,11 +258,6 @@ def matmul(a, b) -> Tensor:
         (a, lambda g, bd=b.data: g @ bd.T),
         (b, lambda g, ad=a.data: ad.T @ g),
     ])
-
-
-def dense(x, w, b) -> Tensor:
-    """Affine map ``x @ w + b`` for a [N, d_in] batch."""
-    return add(matmul(x, w), b)
 
 
 def capsule_votes(w, u) -> Tensor:

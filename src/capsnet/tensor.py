@@ -90,21 +90,27 @@ class GradientTape:
         grads = tape.gradient(loss, list_of_param_tensors)
 
     Gradients accumulate additively whenever a tensor feeds several
-    consumers.  A record names its output and inputs by ``Tensor.key`` and
-    holds no tensor, so between forward and backward the tape keeps alive
-    only the arrays its vjp closures read: an activation no vjp reads is
-    freed as soon as the forward code drops it.  ``gradient()`` consumes the
-    tape: it walks the records newest-first and frees each record (with the
-    arrays its closures hold) and each intermediate gradient as soon as it
-    is used, so a second call raises ``RuntimeError``.  ``len()`` counts
-    the operations recorded, before and after.  A tape is active only in
-    the context (thread) that entered it, and tapes do not nest within one
-    context; forward/backward over one tape is single-threaded.
+    consumers.  A record is its output's ``Tensor.key`` plus one
+    ``(key, vjp)`` link per tracked input, and holds no tensor, so between
+    forward and backward the tape keeps alive only the arrays its vjp
+    closures read: an activation no vjp reads is freed as soon as the
+    forward code drops it.  ``gradient()`` consumes the tape: it walks the
+    records newest-first and frees each record (with the arrays its closures
+    hold) and each intermediate gradient as soon as it is used, so a second
+    call raises ``RuntimeError``.  ``len()`` counts the operations recorded,
+    before and after.  A tape is active only in the context (thread) that
+    entered it, and tapes do not nest within one context; forward/backward
+    over one tape is single-threaded.
+
+    Ownership: a vjp may return its cotangent itself, a view of it or a
+    read-only broadcast, and must not write into its cotangent.  The walk
+    adds a fan-in in place only into a buffer it allocated itself, and
+    ``gradient()`` is the one place that hands the caller writable arrays:
+    it copies any result that is not writeable.
     """
 
     def __init__(self):
-        self._records: list[Optional[tuple[int, tuple[int, ...],
-                                           tuple[Optional[VjpFn], ...]]]] = []
+        self._records: list[Optional[tuple[int, list[tuple[int, VjpFn]]]]] = []
         self._consumed = False
 
     def __enter__(self) -> "GradientTape":
@@ -117,13 +123,9 @@ class GradientTape:
         _ACTIVE_TAPE.set(None)
         return False
 
-    def record(
-        self,
-        out: Tensor,
-        inputs: tuple[Tensor, ...],
-        vjps: tuple[Optional[VjpFn], ...],
-    ) -> None:
-        self._records.append((out.key, tuple(t.key for t in inputs), vjps))
+    def record(self, out: Tensor, links: list[tuple[int, VjpFn]]) -> None:
+        """Record ``out`` and one ``(input key, vjp)`` link per tracked input."""
+        self._records.append((out.key, links))
 
     def __len__(self) -> int:
         return len(self._records)
@@ -133,8 +135,7 @@ class GradientTape:
 
         The gradient of a record's output is popped once its vjps have run,
         unless its key is in ``keep``.  A fan-in sum is added in place only
-        into a buffer this walk allocated: a vjp may return its cotangent
-        itself (``add``) or a view of it (``reshape``), or forward data.
+        into a buffer this walk allocated (see the class docstring).
         """
         if loss.data.size != 1:
             raise ShapeError(f"gradient() needs a scalar loss, got shape {loss.shape}")
@@ -146,14 +147,12 @@ class GradientTape:
         grads: dict[int, Array] = {loss.key: np.ones_like(loss.data)}
         owned: set[int] = set()
         for k in range(len(records) - 1, -1, -1):
-            out, inputs, vjps = records[k]
+            out, links = records[k]
             records[k] = None
             g = grads.get(out) if out in keep else grads.pop(out, None)
             if g is None:
                 continue
-            for key, vjp in zip(inputs, vjps):
-                if vjp is None:
-                    continue
+            for key, vjp in links:
                 contribution = vjp(g)
                 prev = grads.get(key)
                 if prev is None:
@@ -169,9 +168,18 @@ class GradientTape:
     def gradient(self, loss: Tensor, sources: Sequence[Tensor]) -> list[Array]:
         """Gradients of ``loss`` w.r.t. each source (zeros if unused).
 
-        Consumes the tape; see the class docstring."""
+        Each is a writable array; consumes the tape; see the class
+        docstring."""
         grads = self._walk(loss, {s.key for s in sources})
-        return [grads.get(s.key, np.zeros_like(s.data)) for s in sources]
+        out = []
+        for s in sources:
+            g = grads.get(s.key)
+            if g is None:
+                g = np.zeros_like(s.data)
+            elif not g.flags.writeable:
+                g = g.copy()
+            out.append(g)
+        return out
 
 
 def as_tensor(value) -> Tensor:

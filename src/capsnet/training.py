@@ -52,7 +52,7 @@ def cross_entropy_loss(probs, targets) -> Tensor:
     logp = ops.log(ops.maximum(probs, LOG_FLOOR))
     per_example = ops.reduce_sum(ops.multiply(logp, Tensor(targets.astype(probs.dtype))),
                                  axis=-1)
-    return ops.negative(ops.reduce_mean(per_example))
+    return ops.multiply(ops.reduce_mean(per_example), -1.0)
 
 
 def accuracy(probs, labels: np.ndarray) -> float:

@@ -12,6 +12,7 @@ import pytest
 from capsnet import (CapsuleClassifier, ModelConfig, TrainConfig, evaluate,
                      init_train_state, load_checkpoint, save_checkpoint,
                      train_epoch)
+from capsnet import checkpoint
 from capsnet.cli import main
 from capsnet.data import make_blobs
 from capsnet.errors import CheckpointError, ConfigError
@@ -347,6 +348,15 @@ class TestLayoutDrawsNothing:
     def test_huge_claimed_model_refused_by_length(self, claims_a_huge_model, no_init):
         path, size = claims_a_huge_model
         no_init()
+        with pytest.raises(CheckpointError, match=f"payload has 64 bytes.* take {size}"):
+            load_checkpoint(path)
+
+    def test_short_payload_refused_before_the_layout(self, claims_a_huge_model,
+                                                     monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the payload-order layout was built")
+        monkeypatch.setattr(checkpoint, "_arrays", refuse)
+        path, size = claims_a_huge_model
         with pytest.raises(CheckpointError, match=f"payload has 64 bytes.* take {size}"):
             load_checkpoint(path)
 

@@ -8,7 +8,9 @@ import pytest
 
 from capsnet import (CapsuleClassifier, ModelConfig, TrainConfig, init_train_state,
                      load_checkpoint, save_checkpoint)
+from capsnet import cli, training
 from capsnet.cli import TOY_OVERRIDES, main
+from capsnet.data import make_blobs
 
 FAST_DATA = ["--dataset", "blobs", "--samples", "64", "--test-samples", "32",
              "--image-size", "12", "--classes", "3", "--data-seed", "0"]
@@ -41,6 +43,31 @@ def test_train_writes_history_and_checkpoint(tmp_path, capsys):
     assert not (out_dir / "checkpoint.tmp").exists()
     header = (out_dir / "history.csv").read_text().splitlines()[0]
     assert header == "epoch,loss,accuracy,lr"
+
+
+@pytest.mark.parametrize("epochs, evaluations", [(2, 2), (0, 1)])
+def test_train_evaluates_the_final_model_once(tmp_path, capsys, monkeypatch,
+                                              epochs, evaluations):
+    # fit's last row already holds the final model's test metrics, so only
+    # an --epochs 0 run evaluates after fit
+    calls = []
+    real = training.evaluate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "evaluate", counting)
+    monkeypatch.setattr(cli, "evaluate", counting)
+    out_dir = tmp_path / "run"
+    assert main(["train", *FAST_DATA, "--toy", "--epochs", str(epochs), "--batch-size", "16",
+                 "--quiet", "--out", str(out_dir)]) == 0
+    assert len(calls) == evaluations
+    cfg, state = load_checkpoint(out_dir / "checkpoint")
+    x, y = make_blobs(32, num_classes=3, image_size=12, noise=0.05, seed=1)
+    final = real(CapsuleClassifier(cfg), state.params, state.stats, x, y)
+    line = f"final: loss {final['loss']:.4f}  accuracy {final['accuracy']:.4f}"
+    assert line in capsys.readouterr().out.splitlines()
 
 
 def test_eval_reads_checkpoint(tmp_path, capsys):

@@ -30,14 +30,13 @@ def keep_everything_walk(tape, loss, sources):
     """Reference reverse sweep that keeps every record and every gradient
     alive and sums each fan-in into a fresh array."""
     grads = {loss.key: np.ones_like(loss.data)}
-    for out, inputs, vjps in reversed(tape._records):
+    for out, links in reversed(tape._records):
         g = grads.get(out)
         if g is None:
             continue
-        for key, vjp in zip(inputs, vjps):
-            if vjp is not None:
-                c = vjp(g)
-                grads[key] = grads[key] + c if key in grads else c
+        for key, vjp in links:
+            c = vjp(g)
+            grads[key] = grads[key] + c if key in grads else c
     return [grads.get(s.key, np.zeros_like(s.data)) for s in sources]
 
 
@@ -213,6 +212,35 @@ class TestTape:
             y = ops.reduce_sum(ops.multiply(h, 2.0))
         (gh,) = tape.gradient(y, [h])
         assert np.allclose(gh, [2.0])
+
+    def test_add_of_a_constant_records_one_link(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with GradientTape() as tape:
+            y = ops.add(x, Tensor([3.0, 4.0]))
+        ((out, links),) = tape._records
+        assert out == y.key and y.requires_grad
+        assert [key for key, _ in links] == [x.key]
+
+    def test_op_on_constants_records_nothing(self):
+        with GradientTape() as tape:
+            y = ops.multiply(Tensor([1.0, 2.0]), 3.0)
+        assert len(tape) == 0
+        assert not y.requires_grad
+
+    def test_reduction_gradients_are_writable_and_unshared(self, rng):
+        # Both vjps return read-only broadcasts of the loss's cotangent;
+        # gradient() hands each source an array of its own.
+        a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        b = Tensor(rng.standard_normal((2, 5)), requires_grad=True)
+        with GradientTape() as tape:
+            loss = ops.add(ops.reduce_sum(a), ops.reduce_mean(b, axis=(0, 1)))
+        ga, gb = tape.gradient(loss, [a, b])
+        assert np.array_equal(ga, np.ones((3, 4)))
+        assert np.array_equal(gb, np.full((2, 5), 0.1))
+        assert ga.flags.writeable and gb.flags.writeable
+        assert not np.shares_memory(ga, gb)
+        ga += 1.0
+        assert np.array_equal(gb, np.full((2, 5), 0.1))
 
     def test_constants_are_not_differentiated(self):
         x = Tensor([1.0], requires_grad=True)
