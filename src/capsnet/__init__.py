@@ -21,9 +21,8 @@ from .attention import (AttentionResult, attention_capsules,
 from .backbone import Bottleneck, Stem, block_widths, parameter_count
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ModelConfig, TrainConfig
-from .data import (find_idx_split, load_cifar10_dir, load_cifar10_split, load_idx_pair,
-                   make_bars, make_blobs, normalize_images, take_subset,
-                   train_test_split)
+from .data import (find_idx_split, load_cifar10_split, load_idx_pair, make_bars,
+                   make_blobs, normalize_images, take_subset)
 from .errors import (BatchSizeError, CapsnetError, CheckpointError, ConfigError,
                      DataFormatError, GradientCheckError, ShapeError,
                      TrainingDivergenceError)

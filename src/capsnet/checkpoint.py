@@ -152,19 +152,26 @@ def load_checkpoint(path) -> tuple[ModelConfig, TrainState]:
     if not _is_count(header["epoch"]):
         raise CheckpointError(f"{path}: epoch must be an integer >= 0, "
                               f"got {header['epoch']!r}")
-    try:
-        model_config = ModelConfig.from_dict(header["model_config"])
-        train_config = TrainConfig.from_dict(header["train_config"])
-    except AttributeError as e:  # a config that is not an object
-        raise CheckpointError(f"{path}: malformed config: {e}") from e
-    # The size comes from the rows alone, so a short payload is refused
-    # before the payload-order layout is built and sorted.
-    rows = CapsuleClassifier(model_config).param_table()
+    for key in ("model_config", "train_config"):
+        if not isinstance(header[key], dict):
+            raise CheckpointError(f"{path}: malformed config: {key} is not an object")
+    model_config = ModelConfig.from_dict(header["model_config"])
+    train_config = TrainConfig.from_dict(header["train_config"])
+    # Each row is two arrays (see _layout) and each block holds at least one
+    # row: a payload too short for the claimed blocks is refused before any
+    # layer is built, and the rows are summed only while they fit.
     dtype = np.dtype(model_config.dtype).newbyteorder("<")
-    size = 2 * sum(math.prod(shape) for _, shape, _ in rows) * dtype.itemsize
-    if len(payload) != size:
-        raise CheckpointError(f"{path}: payload has {len(payload)} bytes, the model "
-                              f"config's arrays take {size}")
+    pair = 2 * dtype.itemsize
+    size = sum(model_config.stage_depths) * pair
+    if size <= len(payload):
+        size, rows = 0, CapsuleClassifier(model_config).param_table()
+        for _, shape, _ in rows:
+            size += math.prod(shape) * pair
+            if size > len(payload):
+                break
+    if size != len(payload):
+        raise CheckpointError(f"{path}: payload has {len(payload)} bytes, the model config's "
+                              f"arrays take {'at least ' * (size > len(payload))}{size}")
 
     arrays, offset = {}, 0  # section -> name -> array
     for section, name, shape in _layout(rows):

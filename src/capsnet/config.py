@@ -16,13 +16,6 @@ from .routing import ROUTING_VARIANTS
 
 DTYPES = ("float32", "float64")
 
-# Fields that earlier versions of the configs had, with their defaults.  A
-# saved config that holds one at that default still loads; any other value
-# names a setting this version does not have.
-_REMOVED_MODEL_FIELDS = {"stage_widths": None, "primary_caps_channels": None,
-                         "se_ratio": None, "wide_plan": "quarter_half"}
-_REMOVED_TRAIN_FIELDS = {"shuffle": True}
-
 
 def _is_int(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
@@ -56,10 +49,8 @@ def _check_types(config) -> None:
             setattr(config, f.name, tuple(int(v) for v in value))
 
 
-def _from_dict(cls, d: dict, removed: dict, kind: str):
-    """Build ``cls`` from a saved dict, dropping removed fields that hold
-    their old default; any other key the dataclass lacks is an error."""
-    d = {k: v for k, v in d.items() if not (k in removed and v == removed[k])}
+def _from_dict(cls, d: dict, kind: str):
+    """Build ``cls`` from a saved dict; a key the dataclass lacks is an error."""
     unknown = set(d) - set(cls.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown {kind} config keys: {sorted(unknown)}")
@@ -121,7 +112,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return _from_dict(cls, d, _REMOVED_MODEL_FIELDS, "model")
+        return _from_dict(cls, d, "model")
 
 
 @dataclass
@@ -159,4 +150,4 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        return _from_dict(cls, d, _REMOVED_TRAIN_FIELDS, "train")
+        return _from_dict(cls, d, "train")

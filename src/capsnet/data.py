@@ -65,27 +65,6 @@ def load_idx_labels(path: PathLike) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8, offset=8).astype(np.int64)
 
 
-def write_idx_images(path: PathLike, images: np.ndarray) -> None:
-    images = np.asarray(images, dtype=np.uint8)
-    if images.ndim != 3:
-        raise DataFormatError(f"IDX images must be [N,H,W], got shape {images.shape}")
-    n, h, w = images.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, h, w))
-        fh.write(images.tobytes())
-
-
-def write_idx_labels(path: PathLike, labels: np.ndarray) -> None:
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise DataFormatError(f"IDX labels must be 1-D, got shape {labels.shape}")
-    if labels.min(initial=0) < 0 or labels.max(initial=0) > 255:
-        raise DataFormatError("IDX labels must fit in a byte")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, labels.shape[0]))
-        fh.write(labels.astype(np.uint8).tobytes())
-
-
 def load_idx_pair(images_path: PathLike, labels_path: PathLike) -> tuple[np.ndarray, np.ndarray]:
     """Load matching IDX image/label files as ([N,H,W,1] uint8, [N] int64)."""
     images = load_idx_images(images_path)
@@ -141,11 +120,6 @@ def load_cifar10_split(directory: PathLike, split: str = "train") -> tuple[np.nd
         return load_cifar10_batch(directory / "test_batch")
     parts = [load_cifar10_batch(directory / f"data_batch_{i}") for i in range(1, 6)]
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
-
-
-def load_cifar10_dir(directory: PathLike) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Load the standard five training batches plus the test batch."""
-    return {split: load_cifar10_split(directory, split) for split in ("train", "test")}
 
 
 def normalize_images(images: np.ndarray) -> np.ndarray:
@@ -224,18 +198,6 @@ def make_bars(n: int, num_classes: int = 4, image_size: int = 16,
             pos = (r + 1) * image_size // (n_horizontal + 1)
             images[i, pos:pos + thickness, :, :] += 1.0
     return images, labels.astype(np.int64)
-
-
-def train_test_split(images: np.ndarray, labels: np.ndarray, test_fraction: float = 0.2,
-                     seed: int = 0) -> tuple[tuple, tuple]:
-    """Deterministic shuffled split into ((x_tr, y_tr), (x_te, y_te))."""
-    n = images.shape[0]
-    idx = np.arange(n)
-    np.random.default_rng(seed).shuffle(idx)
-    n_test = int(round(n * test_fraction))
-    test_idx, train_idx = idx[:n_test], idx[n_test:]
-    return ((images[train_idx], labels[train_idx]),
-            (images[test_idx], labels[test_idx]))
 
 
 def take_subset(images: np.ndarray, labels: np.ndarray, n: int,

@@ -2,10 +2,10 @@
 
 Every public function here computes its result eagerly with numpy and, when a
 GradientTape is active and some input participates in differentiation,
-records one ``(input key, vjp)`` link per tracked input on the tape.  A vjp
-may return its cotangent, a view of it or a read-only broadcast; only
-``GradientTape.gradient`` hands out writable arrays.  Outputs keep the dtype
-of their inputs (float64 for verification paths, float32 for training paths).
+records one ``(input key, vjp)`` link per tracked input on the tape.  Every
+vjp keeps the ownership rule in ``GradientTape``'s docstring.  Outputs keep
+the dtype of their inputs (float64 for verification paths, float32 for
+training paths).
 
 Each op has one form: conv2d pads "same" and runs every pass as one
 streamed im2col matmul, softmax runs along the last axis and batch_norm is

@@ -102,11 +102,10 @@ class GradientTape:
     entered it, and tapes do not nest within one context; forward/backward
     over one tape is single-threaded.
 
-    Ownership: a vjp may return its cotangent itself, a view of it or a
-    read-only broadcast, and must not write into its cotangent.  The walk
-    adds a fan-in in place only into a buffer it allocated itself, and
-    ``gradient()`` is the one place that hands the caller writable arrays:
-    it copies any result that is not writeable.
+    Ownership has one rule: no code writes into a gradient during the walk,
+    and ``gradient()`` hands each source a writable array that shares no
+    memory with another.  A vjp may return its cotangent itself, a view of
+    it or a read-only broadcast; a fan-in is summed into a new array.
     """
 
     def __init__(self):
@@ -130,22 +129,22 @@ class GradientTape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def _walk(self, loss: Tensor, keep: set[int]) -> dict[int, Array]:
-        """Reverse-mode sweep; returns gradients keyed by ``Tensor.key``.
+    def gradient(self, loss: Tensor, sources: Sequence[Tensor]) -> list[Array]:
+        """Gradients of ``loss`` w.r.t. each source (zeros if unused).
 
-        The gradient of a record's output is popped once its vjps have run,
-        unless its key is in ``keep``.  A fan-in sum is added in place only
-        into a buffer this walk allocated (see the class docstring).
-        """
+        Consumes the tape.  The gradient of a record's output is dropped once
+        its vjps have run, unless it is a source's.  A result that is
+        read-only, or whose root buffer an earlier result already uses, is
+        copied (see the class docstring)."""
         if loss.data.size != 1:
             raise ShapeError(f"gradient() needs a scalar loss, got shape {loss.shape}")
         if self._consumed:
             raise RuntimeError("this GradientTape was already used by gradient(); "
                                "record a new one")
         self._consumed = True
+        keep = {s.key for s in sources}
         records = self._records
         grads: dict[int, Array] = {loss.key: np.ones_like(loss.data)}
-        owned: set[int] = set()
         for k in range(len(records) - 1, -1, -1):
             out, links = records[k]
             records[k] = None
@@ -155,31 +154,22 @@ class GradientTape:
             for key, vjp in links:
                 contribution = vjp(g)
                 prev = grads.get(key)
-                if prev is None:
-                    grads[key] = contribution
-                elif (key in owned and prev.shape == contribution.shape
-                      and prev.dtype == contribution.dtype):
-                    prev += contribution
-                else:
-                    grads[key] = prev + contribution
-                    owned.add(key)
-        return grads
-
-    def gradient(self, loss: Tensor, sources: Sequence[Tensor]) -> list[Array]:
-        """Gradients of ``loss`` w.r.t. each source (zeros if unused).
-
-        Each is a writable array; consumes the tape; see the class
-        docstring."""
-        grads = self._walk(loss, {s.key for s in sources})
-        out = []
+                grads[key] = contribution if prev is None else prev + contribution
+        result, roots = [], set()
         for s in sources:
             g = grads.get(s.key)
             if g is None:
                 g = np.zeros_like(s.data)
-            elif not g.flags.writeable:
-                g = g.copy()
-            out.append(g)
-        return out
+            else:
+                root = g
+                while getattr(root, "base", None) is not None:
+                    root = root.base
+                if not g.flags.writeable or id(root) in roots:
+                    g = g.copy()
+                else:
+                    roots.add(id(root))
+            result.append(g)
+        return result
 
 
 def as_tensor(value) -> Tensor:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import stat
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -131,24 +132,15 @@ class TestRoundTrip:
 
 
 class TestRemovedConfigKeys:
-    """Checkpoints written before stage_widths, primary_caps_channels,
-    se_ratio and wide_plan were dropped from ModelConfig, and shuffle from
-    TrainConfig."""
+    """Keys that stage_widths, primary_caps_channels, se_ratio and wide_plan
+    left behind in ModelConfig, and shuffle in TrainConfig, are unknown keys
+    whatever value they hold."""
 
     @pytest.fixture
     def with_config(self, rewrite_header):
         def edit(path, section="model_config", **extra):
             rewrite_header(path, lambda h: h[section].update(extra))
         return edit
-
-    def test_old_defaults_still_load(self, trained, with_config):
-        cfg, _, state, path, _ = trained
-        with_config(path, stage_widths=None, primary_caps_channels=None,
-                    se_ratio=None, wide_plan="quarter_half")
-        cfg2, state2 = load_checkpoint(path)
-        assert cfg2 == cfg
-        for k in state.params:
-            assert np.array_equal(state2.params[k].data, state.params[k].data)
 
     @pytest.mark.parametrize("extra", [dict(wide_plan="half_double"),
                                        dict(stage_widths=[8, 8, 8]),
@@ -161,12 +153,6 @@ class TestRemovedConfigKeys:
         with_config(path, **extra)
         with pytest.raises(ConfigError, match="unknown model config keys"):
             load_checkpoint(path)
-
-    def test_old_shuffle_default_still_loads(self, trained, with_config):
-        _, _, state, path, _ = trained
-        with_config(path, "train_config", shuffle=True)
-        _, state2 = load_checkpoint(path)
-        assert state2.config == state.config
 
     def test_shuffle_off_rejected(self, trained, with_config):
         *_, path, _ = trained
@@ -318,21 +304,24 @@ class TestLayoutDrawsNothing:
             raise AssertionError("the checkpoint layout drew the weights")
         return lambda: monkeypatch.setattr(CapsuleClassifier, "init_params", refuse)
 
-    @pytest.fixture
-    def claims_a_huge_model(self, tmp_path):
-        """A 64-byte payload with a correct SHA-256 under a header whose
-        config builds 19,594,835 float32 params and 19,776 batch-norm
-        channels: the params and velocities, means and variances take
-        156,916,888 bytes."""
-        cfg = ModelConfig(stem_widths=(16, 32, 64, 384))
+    @staticmethod
+    def write_claim(path, cfg):
+        """A 64-byte payload with a correct SHA-256 under ``cfg``'s header."""
         payload = bytes(64)
         header = json.dumps({
             "format_version": 2, "epoch": 0, "model_config": cfg.to_dict(),
             "train_config": TrainConfig().to_dict(),
             "payload_sha256": hashlib.sha256(payload).hexdigest()}).encode()
-        path = tmp_path / "huge"
         path.write_bytes(len(header).to_bytes(8, "little") + header + payload)
-        return path, 156_916_888
+        return path
+
+    @pytest.fixture
+    def claims_a_huge_model(self, tmp_path):
+        """A 64-byte payload under a header whose config builds 19,594,835
+        float32 params in 16 blocks.  Each block holds at least one param
+        and its velocity, so the arrays take at least 16 * 8 = 128 bytes."""
+        cfg = ModelConfig(stem_widths=(16, 32, 64, 384))
+        return self.write_claim(tmp_path / "huge", cfg), "at least 128"
 
     def test_paper_round_trip(self, tmp_path, no_init):
         cfg = ModelConfig()
@@ -367,3 +356,16 @@ class TestLayoutDrawsNothing:
         assert main(["eval", "--samples", "8", "--test-samples", "8",
                      "--checkpoint", str(path)]) == 2
         assert str(size) in capsys.readouterr().err
+
+    def test_claimed_depth_refused_in_bounded_memory(self, tmp_path):
+        # 50,002 claimed blocks cannot fit 64 bytes: no layer is built
+        path = self.write_claim(tmp_path / "deep", ModelConfig(stage_depths=(50000, 1, 1)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError,
+                               match="payload has 64 bytes.* take at least 400016"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20

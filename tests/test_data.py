@@ -7,11 +7,23 @@ import struct
 import numpy as np
 import pytest
 
-from capsnet.data import (load_cifar10_batch, load_cifar10_dir, load_idx_images,
-                          load_idx_labels, load_idx_pair, find_idx_split,
-                          make_bars, make_blobs, normalize_images, take_subset,
-                          train_test_split, write_idx_images, write_idx_labels)
+from capsnet.data import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, load_cifar10_batch,
+                          load_cifar10_split, load_idx_images, load_idx_labels,
+                          load_idx_pair, find_idx_split, make_bars, make_blobs,
+                          normalize_images, take_subset)
 from capsnet.errors import ConfigError, DataFormatError
+
+
+def write_idx_images(path, images):
+    """images [N,H,W] uint8, as a big-endian IDX3 file."""
+    n, h, w = images.shape
+    path.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, h, w) + images.tobytes())
+
+
+def write_idx_labels(path, labels):
+    """labels [N] in 0..255, as a big-endian IDX1 file."""
+    path.write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, len(labels))
+                     + labels.astype(np.uint8).tobytes())
 
 
 @pytest.fixture
@@ -136,13 +148,12 @@ class TestCifar10:
         write_cifar_batch(tmp_path / "test_batch",
                           rng.integers(0, 256, (3, 32, 32, 3), dtype=np.uint8),
                           rng.integers(0, 10, 3))
-        loaded = load_cifar10_dir(tmp_path)
-        assert loaded["train"][0].shape == (10, 32, 32, 3)
-        assert loaded["test"][0].shape == (3, 32, 32, 3)
+        assert load_cifar10_split(tmp_path, "train")[0].shape == (10, 32, 32, 3)
+        assert load_cifar10_split(tmp_path, "test")[0].shape == (3, 32, 32, 3)
 
     def test_missing_batch(self, tmp_path):
         with pytest.raises(DataFormatError, match="data_batch_1"):
-            load_cifar10_dir(tmp_path)
+            load_cifar10_split(tmp_path, "train")
 
 
 class TestNormalize:
@@ -232,13 +243,6 @@ class TestSynthetic:
 
 
 class TestSplitSubset:
-    def test_split_partitions(self, rng):
-        x = rng.standard_normal((20, 2, 2, 1)).astype(np.float32)
-        y = np.arange(20)
-        (xt, yt), (xe, ye) = train_test_split(x, y, test_fraction=0.25, seed=1)
-        assert xt.shape[0] == 15 and xe.shape[0] == 5
-        assert sorted(yt.tolist() + ye.tolist()) == list(range(20))
-
     def test_subset_deterministic_and_bounded(self, rng):
         x = rng.standard_normal((10, 2, 2, 1)).astype(np.float32)
         y = np.arange(10)

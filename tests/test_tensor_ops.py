@@ -242,6 +242,34 @@ class TestTape:
         ga += 1.0
         assert np.array_equal(gb, np.full((2, 5), 0.1))
 
+    @pytest.mark.parametrize("case", ["add", "add_reshape", "intermediate_source"])
+    def test_sources_sharing_a_cotangent_get_memory_of_their_own(self, rng, case):
+        # add's vjp hands both operands its cotangent, and reshape's a view of
+        # it; each source's gradient is still writable and unshared.
+        av, bv = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
+        a, b = Tensor(av, requires_grad=True), Tensor(bv, requires_grad=True)
+        with GradientTape() as tape:
+            if case == "add":
+                loss = ops.reduce_sum(ops.square(ops.add(a, b)))
+                sources, expected = [a, b], [2 * (av + bv)] * 2
+            elif case == "add_reshape":
+                b = Tensor(bv.reshape(3, 2), requires_grad=True)
+                loss = ops.reduce_sum(ops.square(ops.add(a, ops.reshape(b, (2, 3)))))
+                sources, expected = [a, b], [2 * (av + bv), 2 * (av + bv).reshape(3, 2)]
+            else:
+                h = ops.reshape(a, (3, 2))
+                loss = ops.reduce_sum(ops.square(h))
+                sources, expected = [h, a], [2 * av.reshape(3, 2), 2 * av]
+        grads = tape.gradient(loss, sources)
+        for g, want in zip(grads, expected):
+            assert g.flags.writeable
+            np.testing.assert_allclose(g, want, rtol=1e-15, atol=0)
+        for i, gi in enumerate(grads):
+            for gj in grads[i + 1:]:
+                assert not np.shares_memory(gi, gj)
+        grads[0] += 1.0
+        np.testing.assert_allclose(grads[1], expected[1], rtol=1e-15, atol=0)
+
     def test_constants_are_not_differentiated(self):
         x = Tensor([1.0], requires_grad=True)
         c = Tensor([2.0])

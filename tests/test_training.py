@@ -261,10 +261,6 @@ class TestTrainConfig:
         tc = TrainConfig(epochs=3, batch_size=8, base_lr=0.02, seed=9)
         assert TrainConfig.from_dict(tc.to_dict()) == tc
 
-    def test_removed_shuffle_loads_at_its_old_default(self):
-        tc = TrainConfig(epochs=3, seed=9)
-        assert TrainConfig.from_dict({**tc.to_dict(), "shuffle": True}) == tc
-
     def test_removed_shuffle_rejected_otherwise(self):
         with pytest.raises(ConfigError, match="shuffle"):
             TrainConfig.from_dict({**TrainConfig().to_dict(), "shuffle": False})
