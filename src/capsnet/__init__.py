@@ -33,7 +33,7 @@ from .routing import (RoutingResult, agreement, capsule_predictions, fm_interact
                       route, squash)
 from .tensor import GradientTape, Tensor
 from .training import (TrainState, accuracy, cross_entropy_loss, evaluate, fit,
-                       init_train_state, one_hot, read_history_csv, sgd_step,
+                       init_train_state, one_hot, sgd_step,
                        step_lr, train_epoch, write_history_csv)
 
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ parallel ``dict[str, RunningStats]``.  Layer objects hold only shapes and
 names, so a forward pass always reads the current tensors, and the
 optimizer can swap parameter tensors without touching the layers.  Layers
 declare their tensors as ``(name, shape, init)`` rows in ``table()``, which
-``initializers.init_from_table`` draws.
+``model.init_from_table`` draws.
 
 Block width plans, given a stage width f:
 

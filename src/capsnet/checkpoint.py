@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -157,24 +158,26 @@ def load_checkpoint(path) -> tuple[ModelConfig, TrainState]:
             raise CheckpointError(f"{path}: malformed config: {key} is not an object")
     model_config = ModelConfig.from_dict(header["model_config"])
     train_config = TrainConfig.from_dict(header["train_config"])
-    # Each row is two arrays (see _layout) and each block holds at least one
-    # row: a payload too short for the claimed blocks is refused before any
-    # layer is built, and the rows are summed only while they fit.
+    # Every block's in and out widths are at least those of stage 1's second
+    # block, and a block's table only grows with them, so the smallest block
+    # of a four-block model bounds each claimed block from below: a payload
+    # too short for the claimed blocks is refused before any of them is built.
     dtype = np.dtype(model_config.dtype).newbyteorder("<")
-    pair = 2 * dtype.itemsize
-    size = sum(model_config.stage_depths) * pair
-    if size <= len(payload):
-        size, rows = 0, CapsuleClassifier(model_config).param_table()
-        for _, shape, _ in rows:
-            size += math.prod(shape) * pair
-            if size > len(payload):
-                break
+    probe = CapsuleClassifier(replace(model_config, stage_depths=(2, 1, 1)))
+    block = min(sum(math.prod(shape) for _, shape, _ in layer.table())
+                for layer in probe.layers[1:])
+    least = sum(model_config.stage_depths) * block * 2 * dtype.itemsize  # 2 arrays a row
+    if least > len(payload):
+        raise CheckpointError(f"{path}: payload has {len(payload)} bytes, the model config's "
+                              f"arrays take at least {least}")
+    layout = _layout(CapsuleClassifier(model_config).param_table())
+    size = sum(math.prod(shape) for _, _, shape in layout) * dtype.itemsize
     if size != len(payload):
         raise CheckpointError(f"{path}: payload has {len(payload)} bytes, the model config's "
-                              f"arrays take {'at least ' * (size > len(payload))}{size}")
+                              f"arrays take {size}")
 
     arrays, offset = {}, 0  # section -> name -> array
-    for section, name, shape in _layout(rows):
+    for section, name, shape in layout:
         count = math.prod(shape)
         arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
         arrays.setdefault(section, {})[name] = arr.reshape(shape).astype(dtype.newbyteorder("="))
@@ -183,7 +186,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, TrainState]:
     stats = {}
     for name, mean in arrays["bn_mean"].items():
         stats[name] = RunningStats(len(mean), dtype=mean.dtype)
-        stats[name].load({"mean": mean, "var": arrays["bn_var"][name]})
+        stats[name].mean, stats[name].var = mean, arrays["bn_var"][name]
     params = {name: Tensor(arr, requires_grad=True) for name, arr in arrays["param"].items()}
     state = TrainState(params=params, stats=stats, velocity=arrays["velocity"],
                        epoch=header["epoch"], config=train_config)

@@ -20,11 +20,12 @@ import numpy as np
 
 from . import data as datasets
 from .ablation import LADDER, run_ladder
+from .backbone import parameter_count
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ModelConfig, TrainConfig
 from .errors import CapsnetError, ConfigError
 from .gradcheck import standard_checks
-from .model import CapsuleClassifier, parameter_count
+from .model import CapsuleClassifier
 from .routing import fm_interaction, fm_interaction_reference, l2_normalize, route
 from .training import evaluate, fit, init_train_state
 

@@ -105,10 +105,7 @@ class ModelConfig:
         return (s // 2, s, 2 * s)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        for key in ("input_shape", "stem_widths", "stage_depths"):
-            d[key] = list(d[key])
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":

@@ -139,7 +139,7 @@ def _distribution(rng, rows: int, cols: int) -> Tensor:
 def _bn_stats(rng, c: int) -> dict:
     """Running statistics away from their initial values, as after training."""
     stats = ops.RunningStats(c, dtype=np.float64)
-    stats.load({"mean": rng.standard_normal(c) * 0.2, "var": rng.uniform(0.5, 1.5, c)})
+    stats.mean, stats.var = rng.standard_normal(c) * 0.2, rng.uniform(0.5, 1.5, c)
     return {"bn": stats}
 
 

@@ -13,6 +13,7 @@ reweights poses and agreements before activations are formed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,17 +21,32 @@ import numpy as np
 
 from . import ops
 from .attention import attention_capsules
-from .backbone import (Bottleneck, Stem, bn_rows, conv_bn, conv_rows, parameter_count,
-                       se_rows)
+from .backbone import Bottleneck, Stem, bn_rows, conv_bn, conv_rows, se_rows
 from .config import ModelConfig
 from .errors import ConfigError, ShapeError
-from .initializers import init_from_table
 from .routing import capsule_predictions, route, squash
 from .tensor import Tensor
 
-__all__ = ["CapsuleClassifier", "ModelOutput", "parameter_count"]
+__all__ = ["CapsuleClassifier", "ModelOutput"]
 
 PRIMARY_STRIDE = 2
+
+
+def init_from_table(rows, seed: int, dtype) -> tuple[dict, dict]:
+    """Fresh (params, stats) for ``rows``, HeNormal drawn in row order."""
+    rng = np.random.default_rng(seed)
+    params, stats = {}, {}
+    for name, shape, init in rows:
+        if init == "stats":
+            stats[name] = ops.RunningStats(shape[0], dtype=dtype)
+        elif init == "zeros":
+            params[name] = Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+        elif init == "ones":
+            params[name] = Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
+        else:
+            data = (rng.standard_normal(shape) * math.sqrt(2.0 / init)).astype(dtype)
+            params[name] = Tensor(data, requires_grad=True)
+    return params, stats
 
 
 @dataclass
@@ -75,7 +91,10 @@ class CapsuleClassifier:
 
     def param_table(self) -> list:
         """Every tensor the config builds, as ``(name, shape, init)`` rows in
-        draw order (see ``initializers``)."""
+        draw order, where ``init`` is ``"zeros"``, ``"ones"``, ``"stats"`` (a
+        batch norm's running mean and variance over ``shape[0]`` channels) or
+        an int, the fan-in of a HeNormal draw: a zero-mean gaussian with std
+        sqrt(2 / fan_in).  :func:`init_from_table` draws the rows."""
         cfg = self.config
         # Each vote mixes one k_in-dim capsule, so fan_in is k_in, not the
         # full leading extent product.
@@ -135,8 +154,3 @@ class CapsuleClassifier:
                  else ops.softmax(routed.agreements))
         return ModelOutput(probs=probs, activations=routed.activations,
                            poses=routed.poses, agreements=routed.agreements)
-
-    def predict(self, params: dict, stats: dict, x) -> np.ndarray:
-        """Hard class labels for a batch (eval mode, no tape)."""
-        out = self.forward(params, stats, x, training=False)
-        return np.argmax(out.probs.data, axis=-1)

@@ -422,10 +422,6 @@ class RunningStats:
         self.mean = m * self.mean + (1.0 - m) * batch_mean.astype(self.mean.dtype)
         self.var = m * self.var + (1.0 - m) * batch_var.astype(self.var.dtype)
 
-    def load(self, state: dict) -> None:
-        self.mean = np.asarray(state["mean"], dtype=self.mean.dtype)
-        self.var = np.asarray(state["var"], dtype=self.var.dtype)
-
 
 def batch_norm(x, gamma, beta, stats: RunningStats) -> Tensor:
     """Training batch norm over the trailing channel axis of [N,...,C]

@@ -226,12 +226,3 @@ def write_history_csv(path, rows: Sequence[dict]) -> None:
             writer.writerow([str(int(row["epoch"])), format_metric(row["loss"]),
                              format_metric(row["accuracy"]), format_metric(row["lr"])])
 
-
-def read_history_csv(path) -> list[dict]:
-    with open(path, "r", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != HISTORY_FIELDS:
-            raise ShapeError(f"history CSV must have columns {HISTORY_FIELDS}, "
-                             f"got {reader.fieldnames}")
-        return [{"epoch": int(r["epoch"]), "loss": float(r["loss"]),
-                 "accuracy": float(r["accuracy"]), "lr": float(r["lr"])} for r in reader]

@@ -8,7 +8,7 @@ from capsnet import CapsuleClassifier, ModelConfig, Tensor, ops
 from capsnet.backbone import Bottleneck, Stem, block_widths, conv_bn, parameter_count
 from capsnet.errors import ConfigError
 from capsnet.gradcheck import finite_diff_check
-from capsnet.initializers import init_from_table
+from capsnet.model import init_from_table
 from test_tensor_ops import conv2d_loop_reference
 
 
@@ -157,7 +157,7 @@ class TestConvBn:
                   "bn.gamma": Tensor(rng.uniform(0.5, 2.0, cout), requires_grad=True),
                   "bn.beta": Tensor(rng.standard_normal(cout), requires_grad=True)}
         stats = {"bn": ops.RunningStats(cout, dtype=np.float64)}
-        stats["bn"].load({"mean": rng.standard_normal(cout), "var": rng.uniform(0.2, 3.0, cout)})
+        stats["bn"].mean, stats["bn"].var = rng.standard_normal(cout), rng.uniform(0.2, 3.0, cout)
         x = Tensor(rng.standard_normal((n,) + hw + (cin,)) * 2.0 + 0.5, requires_grad=True)
         return params, stats, x
 
@@ -186,7 +186,7 @@ class TestConvBn:
     def test_training_is_conv_then_batch_norm(self, rng):
         params, stats, x = self._case(rng, 3)
         ref_stats = ops.RunningStats(5, dtype=np.float64)
-        ref_stats.load({"mean": stats["bn"].mean, "var": stats["bn"].var})
+        ref_stats.mean, ref_stats.var = stats["bn"].mean, stats["bn"].var
         out = conv_bn(params, stats, "c", "bn", x, 2, training=True)
         y = ops.conv2d(x, params["c.w"], stride=2)
         ref = ops.batch_norm(y, params["bn.gamma"], params["bn.beta"], ref_stats)

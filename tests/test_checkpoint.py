@@ -305,9 +305,9 @@ class TestLayoutDrawsNothing:
         return lambda: monkeypatch.setattr(CapsuleClassifier, "init_params", refuse)
 
     @staticmethod
-    def write_claim(path, cfg):
-        """A 64-byte payload with a correct SHA-256 under ``cfg``'s header."""
-        payload = bytes(64)
+    def write_claim(path, cfg, size=64):
+        """A ``size``-byte payload with a correct SHA-256 under ``cfg``'s header."""
+        payload = bytes(size)
         header = json.dumps({
             "format_version": 2, "epoch": 0, "model_config": cfg.to_dict(),
             "train_config": TrainConfig().to_dict(),
@@ -318,10 +318,11 @@ class TestLayoutDrawsNothing:
     @pytest.fixture
     def claims_a_huge_model(self, tmp_path):
         """A 64-byte payload under a header whose config builds 19,594,835
-        float32 params in 16 blocks.  Each block holds at least one param
-        and its velocity, so the arrays take at least 16 * 8 = 128 bytes."""
+        float32 params in 16 blocks.  Each block's table holds at least the
+        126,240 values of stage 1's second block, and each row is two arrays,
+        so the arrays take at least 16 * 126,240 * 8 = 16,158,720 bytes."""
         cfg = ModelConfig(stem_widths=(16, 32, 64, 384))
-        return self.write_claim(tmp_path / "huge", cfg), "at least 128"
+        return self.write_claim(tmp_path / "huge", cfg), "at least 16158720"
 
     def test_paper_round_trip(self, tmp_path, no_init):
         cfg = ModelConfig()
@@ -358,14 +359,18 @@ class TestLayoutDrawsNothing:
         assert str(size) in capsys.readouterr().err
 
     def test_claimed_depth_refused_in_bounded_memory(self, tmp_path):
-        # 50,002 claimed blocks cannot fit 64 bytes: no layer is built
-        path = self.write_claim(tmp_path / "deep", ModelConfig(stage_depths=(50000, 1, 1)))
-        tracemalloc.start()
-        try:
-            with pytest.raises(CheckpointError,
-                               match="payload has 64 bytes.* take at least 400016"):
-                load_checkpoint(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * 2**20
+        # Each claimed block takes at least the 14,432 values of the smallest
+        # block, so neither 50,002 blocks against 64 bytes nor 32,768 blocks
+        # against 256 KiB builds a claimed layer
+        for depth, size, least in ((50000, 64, 5773030912), (32766, 2**18, 3783262208)):
+            path = self.write_claim(tmp_path / f"deep{depth}",
+                                    ModelConfig(stage_depths=(depth, 1, 1)), size)
+            tracemalloc.start()
+            try:
+                with pytest.raises(CheckpointError,
+                                   match=f"payload has {size} bytes.* take at least {least}"):
+                    load_checkpoint(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 5 * 2**20

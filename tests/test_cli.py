@@ -1,5 +1,6 @@
 """Command-line interface tests, run in-process through main()."""
 
+import gzip
 import json
 import shutil
 
@@ -11,6 +12,7 @@ from capsnet import (CapsuleClassifier, ModelConfig, TrainConfig, init_train_sta
 from capsnet import cli, training
 from capsnet.cli import TOY_OVERRIDES, main
 from capsnet.data import make_blobs
+from test_data import write_idx_images, write_idx_labels
 
 FAST_DATA = ["--dataset", "blobs", "--samples", "64", "--test-samples", "32",
              "--image-size", "12", "--classes", "3", "--data-seed", "0"]
@@ -144,6 +146,30 @@ def test_file_dataset_requires_data_dir(tmp_path, capsys):
     code = main(["train", "--dataset", "idx", "--out", str(tmp_path / "run")])
     assert code == 2
     assert "--data-dir" in capsys.readouterr().err
+
+
+def test_idx_dataset_trains_and_evaluates(tmp_path, capsys, rng):
+    """An 8x8, 3-class IDX set: the train split gzipped, the test split plain."""
+    data = tmp_path / "idx"
+    data.mkdir()
+    for prefix, n in (("train", 16), ("t10k", 10)):
+        images = data / f"{prefix}-images-idx3-ubyte"
+        labels = data / f"{prefix}-labels-idx1-ubyte"
+        write_idx_images(images, rng.integers(0, 256, (n, 8, 8), dtype=np.uint8))
+        write_idx_labels(labels, np.arange(n) % 3)
+        if prefix == "train":
+            for path in (images, labels):
+                path.with_name(path.name + ".gz").write_bytes(gzip.compress(path.read_bytes()))
+                path.unlink()
+    out_dir = tmp_path / "run"
+    idx = ["--dataset", "idx", "--data-dir", str(data)]
+    assert main(["train", *idx, "--toy", "--samples", "0", "--test-samples", "0",
+                 "--epochs", "1", "--batch-size", "8", "--quiet", "--out", str(out_dir)]) == 0
+    assert "4 primary capsules" in capsys.readouterr().out
+    for flags, samples in ((["--test-samples", "0"], 10), (["--test-samples", "5"], 5)):
+        assert main(["eval", *idx, *flags, "--checkpoint", str(out_dir / "checkpoint")]) == 0
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["samples"] == samples
 
 
 def test_unreadable_data_file_is_clean_error(tmp_path, capsys):
