@@ -174,7 +174,13 @@ def sqrt(x) -> Tensor:
 
 def square(x) -> Tensor:
     x = as_tensor(x)
-    return _make(x.data * x.data, [(x, lambda g, xd=x.data: g * (2.0 * xd))])
+
+    def vjp(g, xd=x.data):
+        out = g * xd
+        out *= 2.0  # the array this vjp just made, not a gradient it was given
+        return out
+
+    return _make(x.data * x.data, [(x, vjp)])
 
 
 def maximum(x, threshold: float) -> Tensor:
@@ -264,8 +270,12 @@ def capsule_votes(w, u) -> Tensor:
     """Per-class linear votes ``out[b, j, n] = u[b, n] @ w[j, n]``.
 
     ``w`` is [J, n, k_in, k_out] and ``u`` is [B, n, k_in]; the result is
-    [B, J, n, k_out], the contraction ``jnio,bni->bjno``.  Each vjp is the
-    same contraction with the roles swapped.
+    [B, J, n, k_out], the contraction ``jnio,bni->bjno``.  Every pass is one
+    batched matmul of BLAS products, one per (class, input capsule), on
+    strided views with no copy of either operand: the forward pass writes
+    each [B, k_in] @ [k_in, k_out] vote straight into the C-contiguous
+    result, the ``w`` gradient is u[:, n].T @ g[:, j, n], and the ``u``
+    gradient sums g[:, j, n] @ w[j, n].T over the classes.
     """
     w, u = as_tensor(w), as_tensor(u)
     if w.ndim != 4:
@@ -275,10 +285,20 @@ def capsule_votes(w, u) -> Tensor:
     if u.shape[1:] != w.shape[1:3]:
         raise ShapeError(
             f"capsule input {u.shape} does not match weights [n,k_in]={w.shape[1:3]}")
-    data = np.einsum("jnio,bni->bjno", w.data, u.data)
+    wd, ud = w.data, u.data
+    b, (j, n, _, k_out) = ud.shape[0], wd.shape
+    data = np.empty((b, j, n, k_out), dtype=np.result_type(wd, ud))
+    np.matmul(ud.transpose(1, 0, 2), wd, out=data.transpose(1, 2, 0, 3))
+
+    def vjp_u(g):
+        gu = np.empty(ud.shape, dtype=g.dtype)
+        per_class = np.matmul(g.transpose(1, 2, 0, 3), wd.transpose(0, 1, 3, 2))
+        np.add.reduce(per_class, axis=0, out=gu.transpose(1, 0, 2))
+        return gu
+
     return _make(data, [
-        (w, lambda g, ud=u.data: np.einsum("bjno,bni->jnio", g, ud)),
-        (u, lambda g, wd=w.data: np.einsum("bjno,jnio->bni", g, wd)),
+        (w, lambda g: np.matmul(ud.transpose(1, 2, 0), g.transpose(1, 2, 0, 3))),
+        (u, vjp_u),
     ])
 
 
@@ -428,8 +448,11 @@ def batch_norm(x, gamma, beta, stats: RunningStats) -> Tensor:
     activations (Ioffe & Szegedy, 2015).
 
     Normalizes with the batch statistics, differentiated through so gradient
-    checks see the exact Jacobian, and folds them into ``stats``.  Eval mode
-    is ``fold_batch_norm``, applied by ``backbone.conv_bn``.
+    checks see the exact Jacobian, and folds them into ``stats``.  As in
+    ``fold_batch_norm``, the scale γ/√(v+ε) is formed at [C] size, so the
+    activations see one multiply and one add, and the tape keeps only the
+    centered input alive.  Eval mode is ``fold_batch_norm``, applied by
+    ``backbone.conv_bn``.
     """
     x = as_tensor(x)
     gamma, beta = as_tensor(gamma), as_tensor(beta)
@@ -448,8 +471,8 @@ def batch_norm(x, gamma, beta, stats: RunningStats) -> Tensor:
     v = reduce_mean(square(centered), axis=reduce_axes)
     stats.update(m.data, v.data)
     inv = divide(1.0, sqrt(add(v, BN_EPS)))
-    normed = multiply(centered, reshape(inv, (1,) * (x.ndim - 1) + (c,)))
-    return add(multiply(normed, gamma), beta)
+    scale = multiply(gamma, inv)
+    return add(multiply(centered, reshape(scale, (1,) * (x.ndim - 1) + (c,))), beta)
 
 
 def fold_batch_norm(gamma, beta, stats: RunningStats, dtype) -> tuple[Tensor, Tensor]:

@@ -39,6 +39,7 @@ def test_activations_no_vjp_reads_are_freed_before_backward(monkeypatch, rng):
             return out
         monkeypatch.setattr(ops, name, wrapped)
 
+    spy("subtract")
     spy("square")
     spy("multiply")
     x = Tensor(rng.standard_normal((4, 6, 6, 3)), requires_grad=True)
@@ -49,14 +50,17 @@ def test_activations_no_vjp_reads_are_freed_before_backward(monkeypatch, rng):
         conv = ops.conv2d(x, w)
         normed = ops.batch_norm(conv, gamma, beta, ops.RunningStats(5, np.float64))
         loss = ops.reduce_sum(ops.relu(normed))
-    # batch_norm's multiplies: centered * inv, then normed * gamma
+    # batch_norm's multiplies: gamma * inv at [C] size, then centered * scale
     freed = {"conv output": weakref.ref(conv.data),
              "square(centered)": outputs["square"][0],
-             "normed * gamma": outputs["multiply"][1],
+             "centered * scale": outputs["multiply"][1],
              "relu input": weakref.ref(normed.data)}
     del conv, normed
     assert [name for name, ref in freed.items() if ref() is not None] == []
-    assert outputs["multiply"][0]() is not None  # gamma's vjp reads it
+    # the one full-size array batch norm keeps: centered, which square's and
+    # the scale multiply's vjps read; the scale is [C]
+    assert outputs["subtract"][0]().shape == (4, 6, 6, 5)
+    assert outputs["multiply"][0]().shape == (5,)
     grads = tape.gradient(loss, [x, w, gamma, beta])
     assert all(np.isfinite(g).all() for g in grads)
 
@@ -108,6 +112,26 @@ def test_tracked_3x3_conv_backward_streams_its_windows():
     # input, output, reduce_sum's cotangent, the gradients and one budget
     held = x.data.nbytes + 2 * y.data.nbytes + gx.nbytes + gw.nbytes
     assert peak < 1.1 * (held + ops._IM2COL_BUDGET)
+
+
+def test_tracked_batch_norm_keeps_only_the_centered_input(rng):
+    # normalizing before scaling would also keep the full-size normed input
+    x = Tensor(rng.standard_normal((8, 16, 16, 32), dtype=np.float32), requires_grad=True)
+    gamma = Tensor(rng.standard_normal(32, dtype=np.float32), requires_grad=True)
+    beta = Tensor(np.zeros(32, np.float32), requires_grad=True)
+    r = rng.standard_normal(x.shape, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        with GradientTape() as tape:
+            y = ops.batch_norm(x, gamma, beta, ops.RunningStats(32))
+            loss = ops.reduce_sum(ops.multiply(y, r))
+        del y
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.25 * x.data.nbytes
+    grads = tape.gradient(loss, [x, gamma, beta])
+    assert all(np.isfinite(g).all() for g in grads)
 
 
 def test_blobs_train_step_peak_memory():

@@ -310,6 +310,22 @@ class TestElementwise:
             (g,) = tape.gradient(y, [t])
             assert np.allclose(g, dfn(x))
 
+    def test_square_vjp_allocates_only_its_result(self, rng):
+        # below numpy's 256 KiB cut for reusing a temporary in place
+        x = Tensor(rng.standard_normal(4096), requires_grad=True)
+        g = rng.standard_normal(4096)
+        with GradientTape() as tape:
+            ops.square(x)
+        [(_, [(_, vjp)])] = tape._records
+        tracemalloc.start()
+        try:
+            out = vjp(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * g.nbytes
+        assert out.tobytes() == (g * (2.0 * x.data)).tobytes()
+
     def test_relu_masks_gradient(self):
         x = Tensor([-1.0, 2.0], requires_grad=True)
         with GradientTape() as tape:
@@ -455,13 +471,15 @@ class TestMatmulEinsum:
         with pytest.raises(ShapeError):
             ops.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
 
+    # J=3, n=4, k_in=5, k_out=6 and B=2 all differ, so a swapped axis shows
     def test_capsule_votes_matches_numpy(self, rng):
         w = rng.standard_normal((3, 4, 5, 6))
         u = rng.standard_normal((2, 4, 5))
         out = ops.capsule_votes(Tensor(w), Tensor(u))
-        assert np.allclose(out.data, np.einsum("jnio,bni->bjno", w, u))
+        assert out.data.flags.c_contiguous
+        np.testing.assert_allclose(out.data, np.einsum("jnio,bni->bjno", w, u), rtol=1e-12)
         # each vote is one capsule times its own weight matrix
-        assert np.allclose(out.data[1, 2, 3], u[1, 3] @ w[2, 3])
+        np.testing.assert_allclose(out.data[1, 2, 3], u[1, 3] @ w[2, 3], rtol=1e-12)
 
     def test_capsule_votes_grads_via_swap(self, rng):
         w = Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
@@ -471,8 +489,8 @@ class TestMatmulEinsum:
             y = ops.reduce_sum(ops.multiply(ops.capsule_votes(w, u), Tensor(proj)))
         gw, gu = tape.gradient(y, [w, u])
         assert len(tape) == 3  # votes, multiply, reduce_sum
-        assert np.allclose(gw, np.einsum("bjno,bni->jnio", proj, u.data))
-        assert np.allclose(gu, np.einsum("bjno,jnio->bni", proj, w.data))
+        np.testing.assert_allclose(gw, np.einsum("bjno,bni->jnio", proj, u.data), rtol=1e-12)
+        np.testing.assert_allclose(gu, np.einsum("bjno,jnio->bni", proj, w.data), rtol=1e-12)
 
 
 def conv2d_loop_reference(x, w, stride):
@@ -492,6 +510,26 @@ def conv2d_loop_reference(x, w, stride):
                 for f in range(co):
                     out[b, i, j, f] = np.sum(patch * w[:, :, :, f])
     return out
+
+
+def batch_norm_composite_reference(x, gamma, beta, stats):
+    """Training batch norm that normalizes first and scales after,
+    ``(centered * inv) * gamma + beta``: 12 records like ``ops.batch_norm``,
+    used to pin it down."""
+    reduce_axes = tuple(range(x.ndim - 1))
+    channel = (1,) * (x.ndim - 1) + (x.shape[-1],)
+    m = ops.reduce_mean(x, axis=reduce_axes)
+    centered = ops.subtract(x, ops.reshape(m, channel))
+    v = ops.reduce_mean(ops.square(centered), axis=reduce_axes)
+    stats.update(m.data, v.data)
+    inv = ops.divide(1.0, ops.sqrt(ops.add(v, ops.BN_EPS)))
+    normed = ops.multiply(centered, ops.reshape(inv, channel))
+    return ops.add(ops.multiply(normed, gamma), beta)
+
+
+def rel_err(a, ref):
+    """Largest difference from ``ref`` over ``ref``'s largest magnitude."""
+    return np.max(np.abs(a - ref)) / np.max(np.abs(ref))
 
 
 def conv2d_col2im_vjps(x, w, stride, g):
@@ -731,6 +769,47 @@ class TestPoolAndBatchNorm:
         ops.batch_norm(Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)), stats)
         expected_mean = 0.9 * 0.0 + 0.1 * x.mean(0)
         assert np.allclose(stats.mean, expected_mean)
+
+    @pytest.mark.parametrize("shape", [(8, 6, 6, 5), (16, 4, 4, 3)])
+    def test_batch_norm_matches_composite_reference(self, rng, shape):
+        c = shape[-1]
+        x = rng.standard_normal(shape) * 3 + 2
+        gamma, beta = rng.standard_normal(c), rng.standard_normal(c)
+        proj = rng.standard_normal(shape)
+        runs = []
+        for bn in (ops.batch_norm, batch_norm_composite_reference):
+            ts = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+            stats = ops.RunningStats(c, np.float64)
+            with GradientTape() as tape:
+                out = bn(*ts, stats)
+                loss = ops.reduce_sum(ops.multiply(out, Tensor(proj)))
+            runs.append((len(tape), out.data, *tape.gradient(loss, ts[1:]), stats))
+        (n, out, g_gamma, g_beta, stats), (n_ref, ref, r_gamma, r_beta, r_stats) = runs
+        assert n == n_ref == 14  # 12 batch-norm records, the multiply and the sum
+        assert rel_err(out, ref) <= 1e-12
+        assert rel_err(g_gamma, r_gamma) <= 1e-12
+        assert rel_err(g_beta, r_beta) <= 1e-12
+        assert stats.mean.tobytes() == r_stats.mean.tobytes()
+        assert stats.var.tobytes() == r_stats.var.tobytes()
+
+    @pytest.mark.parametrize("shape", [(8, 6, 6, 5), (16, 4, 4, 3), (2, 1, 1, 7)])
+    def test_batch_norm_input_gradient_matches_closed_form(self, rng, shape):
+        c = shape[-1]
+        x = rng.standard_normal(shape) * 3 + 2
+        gamma, g = rng.standard_normal(c), rng.standard_normal(shape)
+        t = Tensor(x, requires_grad=True)
+        with GradientTape() as tape:
+            out = ops.batch_norm(t, Tensor(gamma), Tensor(np.zeros(c)),
+                                 ops.RunningStats(c, np.float64))
+            loss = ops.reduce_sum(ops.multiply(out, Tensor(g)))
+        (dx,) = tape.gradient(loss, [t])
+        # dx = γ·inv/N·(N·g − Σg − x̂·Σ(g·x̂)) with x̂ = (x − mean)·inv
+        axes, count = tuple(range(x.ndim - 1)), x.size // c
+        inv = 1.0 / np.sqrt(x.var(axis=axes) + ops.BN_EPS)
+        x_hat = (x - x.mean(axis=axes)) * inv
+        ref = gamma * inv / count * (
+            count * g - g.sum(axis=axes) - x_hat * (g * x_hat).sum(axis=axes))
+        assert rel_err(dx, ref) <= 1e-10
 
     def test_batch_norm_rejects_tiny_training_batch(self):
         stats = ops.RunningStats(3, dtype=np.float64)
