@@ -1,10 +1,11 @@
 """Differentiable array operations.
 
-Every public function here computes its result eagerly with numpy and, when a
-GradientTape is active and some input participates in differentiation,
-records one ``(input key, vjp)`` link per tracked input on the tape.  Every
-vjp keeps the ownership rule in ``GradientTape``'s docstring.  Outputs keep
-the dtype of their inputs (float64 for verification paths, float32 for
+Every public function here computes its result eagerly with numpy first.
+With no GradientTape active it returns that result as it is, having built no
+vjp closure and no link.  Under a tape, and when some input participates in
+differentiation, it records one ``(input key, vjp)`` link per tracked input.
+Every vjp keeps the ownership rule in ``GradientTape``'s docstring.  Outputs
+keep the dtype of their inputs (float64 for verification paths, float32 for
 training paths).
 
 Each op has one form: conv2d pads "same" and runs every pass as one
@@ -24,10 +25,9 @@ from math import prod
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import BatchSizeError, ShapeError
-from .tensor import Tensor, active_tape, as_tensor
+from .tensor import _ACTIVE_TAPE, Tensor, as_tensor
 
 Axis = Union[None, int, tuple[int, ...]]
 
@@ -45,15 +45,15 @@ _IM2COL_BUDGET = 4 << 20
 
 
 def _make(data: np.ndarray, pairs: Sequence[tuple[Tensor, callable]]) -> Tensor:
-    """Build the output tensor and, under a tape, record one link per
-    tracked input; the output is tracked exactly when some link is."""
+    """Build the output tensor of an op run under the active tape and record
+    one link per tracked input; the output is tracked exactly when some link
+    is.  An op with no tape active returns ``Tensor(data)`` before it builds
+    its vjps, and never calls this."""
     out = Tensor(data)
-    tape = active_tape()
-    if tape is not None:
-        links = [(t.key, vjp) for t, vjp in pairs if t.requires_grad]
-        if links:
-            out.requires_grad = True
-            tape.record(out, links)
+    links = [(t.key, vjp) for t, vjp in pairs if t.requires_grad]
+    if links:
+        out.requires_grad = True
+        _ACTIVE_TAPE.get().record(out, links)
     return out
 
 
@@ -91,11 +91,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _pair(a, b) -> tuple[Tensor, Tensor]:
     """Coerce operands, giving plain scalars the dtype of their partner."""
-    if isinstance(a, Tensor) and not isinstance(b, Tensor):
-        return a, Tensor(np.asarray(b, dtype=a.dtype))
-    if isinstance(b, Tensor) and not isinstance(a, Tensor):
+    if isinstance(a, Tensor):
+        return a, (b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=a.dtype)))
+    if isinstance(b, Tensor):
         return Tensor(np.asarray(a, dtype=b.dtype)), b
-    return as_tensor(a), as_tensor(b)
+    return Tensor(a), Tensor(b)
 
 
 def _normalize_axes(axis: Axis, ndim: int) -> Optional[tuple[int, ...]]:
@@ -103,7 +103,7 @@ def _normalize_axes(axis: Axis, ndim: int) -> Optional[tuple[int, ...]]:
         return None
     if isinstance(axis, int):
         axis = (axis,)
-    return tuple(sorted(a % ndim for a in axis))
+    return tuple(sorted([a % ndim for a in axis]))
 
 
 def _spread(grad: np.ndarray, axes: Optional[tuple[int, ...]], keepdims: bool,
@@ -121,6 +121,8 @@ def _spread(grad: np.ndarray, axes: Optional[tuple[int, ...]], keepdims: bool,
 def add(a, b) -> Tensor:
     a, b = _pair(a, b)
     data = a.data + b.data
+    if _ACTIVE_TAPE.get() is None:
+        return Tensor(data)
     return _make(data, [
         (a, lambda g, sa=a.data.shape: _unbroadcast(g, sa)),
         (b, lambda g, sb=b.data.shape: _unbroadcast(g, sb)),
@@ -130,6 +132,8 @@ def add(a, b) -> Tensor:
 def subtract(a, b) -> Tensor:
     a, b = _pair(a, b)
     data = a.data - b.data
+    if _ACTIVE_TAPE.get() is None:
+        return Tensor(data)
     return _make(data, [
         (a, lambda g, sa=a.data.shape: _unbroadcast(g, sa)),
         (b, lambda g, sb=b.data.shape: -_unbroadcast(g, sb)),
@@ -139,6 +143,8 @@ def subtract(a, b) -> Tensor:
 def multiply(a, b) -> Tensor:
     a, b = _pair(a, b)
     data = a.data * b.data
+    if _ACTIVE_TAPE.get() is None:
+        return Tensor(data)
     return _make(data, [
         (a, lambda g, bd=b.data, sa=a.data.shape: _unbroadcast(g * bd, sa)),
         (b, lambda g, ad=a.data, sb=b.data.shape: _unbroadcast(g * ad, sb)),
@@ -148,6 +154,8 @@ def multiply(a, b) -> Tensor:
 def divide(a, b) -> Tensor:
     a, b = _pair(a, b)
     data = a.data / b.data
+    if _ACTIVE_TAPE.get() is None:
+        return Tensor(data)
     return _make(data, [
         (a, lambda g, bd=b.data, sa=a.data.shape: _unbroadcast(g / bd, sa)),
         (b, lambda g, ad=a.data, bd=b.data, sb=b.data.shape:
@@ -158,29 +166,39 @@ def divide(a, b) -> Tensor:
 def exp(x) -> Tensor:
     x = as_tensor(x)
     y = np.exp(x.data)
+    if _ACTIVE_TAPE.get() is None:
+        return Tensor(y)
     return _make(y, [(x, lambda g, yd=y: g * yd)])
 
 
 def log(x) -> Tensor:
     x = as_tensor(x)
-    return _make(np.log(x.data), [(x, lambda g, xd=x.data: g / xd)])
+    data = np.log(x.data)
+    if _ACTIVE_TAPE.get() is None:
+        return Tensor(data)
+    return _make(data, [(x, lambda g, xd=x.data: g / xd)])
 
 
 def sqrt(x) -> Tensor:
     x = as_tensor(x)
     y = np.sqrt(x.data)
+    if _ACTIVE_TAPE.get() is None:
+        return Tensor(y)
     return _make(y, [(x, lambda g, yd=y: g * (0.5 / yd))])
 
 
 def square(x) -> Tensor:
     x = as_tensor(x)
+    data = x.data * x.data
+    if _ACTIVE_TAPE.get() is None:
+        return Tensor(data)
 
     def vjp(g, xd=x.data):
         out = g * xd
         out *= 2.0  # the array this vjp just made, not a gradient it was given
         return out
 
-    return _make(x.data * x.data, [(x, vjp)])
+    return _make(data, [(x, vjp)])
 
 
 def maximum(x, threshold: float) -> Tensor:
@@ -188,10 +206,20 @@ def maximum(x, threshold: float) -> Tensor:
     x = as_tensor(x)
     t = x.dtype.type(threshold)
     y = np.maximum(x.data, t)
-    # The mask is built in backward, so a forward without a tape skips it,
-    # and from the output, so the input can be freed: ``y > t`` exactly
-    # where ``x > t`` (both are false at x == t and at NaN).
-    return _make(y, [(x, lambda g, yd=y: g * (yd > t))])
+    if _ACTIVE_TAPE.get() is None:
+        return Tensor(y)
+
+    def vjp(g, yd=y):
+        # The mask is built here, from the output, so the input can be
+        # freed: ``y > t`` exactly where ``x > t`` (both are false at
+        # x == t and at NaN).  It is written as 0.0/1.0 into the result,
+        # which then takes g in place: the bits of ``g * (y > t)`` without
+        # a bool array or a cast of it.
+        out = np.greater(yd, t, out=np.empty(yd.shape, g.dtype))
+        out *= g
+        return out
+
+    return _make(y, [(x, vjp)])
 
 
 def relu(x) -> Tensor:
@@ -206,6 +234,8 @@ def sigmoid(x) -> Tensor:
     e = np.exp(-np.abs(x.data))
     d = 1.0 + e
     y = np.where(x.data >= 0, 1.0 / d, e / d)
+    if _ACTIVE_TAPE.get() is None:
+        return Tensor(y)
     return _make(y, [(x, lambda g, yd=y: g * yd * (1.0 - yd))])
 
 
@@ -215,6 +245,8 @@ def sigmoid(x) -> Tensor:
 def reshape(x, shape: tuple[int, ...]) -> Tensor:
     x = as_tensor(x)
     data = x.data.reshape(shape)
+    if _ACTIVE_TAPE.get() is None:
+        return Tensor(data)
     return _make(data, [(x, lambda g, s=x.data.shape: g.reshape(s))])
 
 
@@ -222,6 +254,8 @@ def reduce_sum(x, axis: Axis = None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     axes = _normalize_axes(axis, x.ndim)
     data = _sum(x.data, axes, keepdims)
+    if _ACTIVE_TAPE.get() is None:
+        return Tensor(data)
     return _make(data, [(x, lambda g, a=axes, k=keepdims, s=x.data.shape:
                          _spread(g, a, k, s))])
 
@@ -230,8 +264,10 @@ def reduce_mean(x, axis: Axis = None) -> Tensor:
     x = as_tensor(x)
     axes = _normalize_axes(axis, x.ndim)
     total = _sum(x.data, axes)
-    count = x.data.size // max(total.size, 1)
+    count = x.data.size // total.size
     data = total / count
+    if _ACTIVE_TAPE.get() is None:
+        return Tensor(data)
     return _make(data, [(x, lambda g, a=axes, s=x.data.shape, c=count:
                          _spread(g / c, a, False, s))])
 
@@ -242,6 +278,8 @@ def softmax(x) -> Tensor:
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
+    if _ACTIVE_TAPE.get() is None:
+        return Tensor(y)
 
     def vjp(g, yd=y):
         inner = (g * yd).sum(axis=-1, keepdims=True)
@@ -260,6 +298,8 @@ def matmul(a, b) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
     data = a.data @ b.data
+    if _ACTIVE_TAPE.get() is None:
+        return Tensor(data)
     return _make(data, [
         (a, lambda g, bd=b.data: g @ bd.T),
         (b, lambda g, ad=a.data: ad.T @ g),
@@ -289,6 +329,8 @@ def capsule_votes(w, u) -> Tensor:
     b, (j, n, _, k_out) = ud.shape[0], wd.shape
     data = np.empty((b, j, n, k_out), dtype=np.result_type(wd, ud))
     np.matmul(ud.transpose(1, 0, 2), wd, out=data.transpose(1, 2, 0, 3))
+    if _ACTIVE_TAPE.get() is None:
+        return Tensor(data)
 
     def vjp_u(g):
         gu = np.empty(ud.shape, dtype=g.dtype)
@@ -324,10 +366,13 @@ def _im2col(xs: np.ndarray, kh: int, kw: int, stride: int, pads) -> np.ndarray:
         xs = xp
     if kh == kw == 1:
         return xs[:, ::stride, ::stride].reshape(-1, xs.shape[3])
+    # The windows are a strided view of xs's own buffer, which a padded
+    # input already is; only an unpadded view (a cotangent phase) is copied.
+    xs = np.ascontiguousarray(xs)
     n, h, w, c = xs.shape
     sn, sh, sw, sc = xs.strides
-    windows = as_strided(xs, (n, (h - kh) // stride + 1, (w - kw) // stride + 1, kh, kw, c),
-                         (sn, stride * sh, stride * sw, sh, sw, sc), writeable=False)
+    windows = np.ndarray((n, (h - kh) // stride + 1, (w - kw) // stride + 1, kh, kw, c),
+                         xs.dtype, buffer=xs, strides=(sn, stride * sh, stride * sw, sh, sw, sc))
     return windows.reshape(-1, kh * kw * c)
 
 
@@ -392,6 +437,8 @@ def conv2d(x, w, stride: int = 1, bias=None) -> Tensor:
     pads = (pad_h // 2, pad_h - pad_h // 2, pad_w // 2, pad_w - pad_w // 2)
     xd, wdat = x.data, w.data
     data = _correlate(xd, wdat, stride, pads, None if b is None else b.data)
+    if _ACTIVE_TAPE.get() is None:
+        return Tensor(data)
     ho, wo = data.shape[1:3]
 
     def vjp_x(g):
@@ -439,8 +486,8 @@ class RunningStats:
 
     def update(self, batch_mean: np.ndarray, batch_var: np.ndarray) -> None:
         m = BN_MOMENTUM
-        self.mean = m * self.mean + (1.0 - m) * batch_mean.astype(self.mean.dtype)
-        self.var = m * self.var + (1.0 - m) * batch_var.astype(self.var.dtype)
+        self.mean = m * self.mean + (1.0 - m) * batch_mean.astype(self.mean.dtype, copy=False)
+        self.var = m * self.var + (1.0 - m) * batch_var.astype(self.var.dtype, copy=False)
 
 
 def batch_norm(x, gamma, beta, stats: RunningStats) -> Tensor:
@@ -466,13 +513,14 @@ def batch_norm(x, gamma, beta, stats: RunningStats) -> Tensor:
         raise BatchSizeError(
             f"batch_norm in training mode needs at least 2 samples, got {x.shape[0]}")
     reduce_axes = tuple(range(x.ndim - 1))
+    per_channel = (1,) * (x.ndim - 1) + (c,)
     m = reduce_mean(x, axis=reduce_axes)
-    centered = subtract(x, reshape(m, (1,) * (x.ndim - 1) + (c,)))
+    centered = subtract(x, reshape(m, per_channel))
     v = reduce_mean(square(centered), axis=reduce_axes)
     stats.update(m.data, v.data)
     inv = divide(1.0, sqrt(add(v, BN_EPS)))
     scale = multiply(gamma, inv)
-    return add(multiply(centered, reshape(scale, (1,) * (x.ndim - 1) + (c,))), beta)
+    return add(multiply(centered, reshape(scale, per_channel)), beta)
 
 
 def fold_batch_norm(gamma, beta, stats: RunningStats, dtype) -> tuple[Tensor, Tensor]:

@@ -19,8 +19,6 @@ from .errors import ShapeError
 Array = np.ndarray
 VjpFn = Callable[[Array], Array]
 
-_FLOAT_DTYPES = (np.float32, np.float64)
-
 # Serials for ``Tensor.key``: unlike ``id()``, never reused by a later tensor.
 _KEYS = itertools.count()
 
@@ -37,9 +35,9 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if arr.dtype not in _FLOAT_DTYPES:
+        if arr.dtype.char not in "fd":  # float32, float64
             arr = arr.astype(np.float64)
-        if 0 in arr.shape:
+        if not arr.size:
             raise ShapeError(f"tensor extents must all be >= 1, got shape {arr.shape}")
         self.data = arr
         self.requires_grad = bool(requires_grad)

@@ -91,14 +91,21 @@ def sgd_step(state: TrainState, grads: dict, lr: float) -> None:
 
     All or nothing: every new parameter and velocity is computed and checked
     before any is committed, so a divergent step leaves ``state`` untouched.
-    Checking ``theta + v`` covers ``v`` too, as ``theta`` is finite.
+    Checking ``theta + v`` covers ``v`` too, as ``theta`` is finite.  Each
+    parameter takes two new arrays: ``v``, and the new ``theta``, which
+    first holds ``lr*(g + l2*theta)``.  Each product and sum is the
+    formula's with its operands commuted, so the bits are the same.  The
+    caller's gradients are only read.
     """
     cfg = state.config
     staged = []
     for name, p in state.params.items():
-        g = grads[name] + cfg.l2 * p.data
-        v = cfg.momentum * state.velocity[name] - lr * g
-        new = p.data + v
+        new = p.data * cfg.l2
+        new += grads[name]
+        new *= lr
+        v = state.velocity[name] * cfg.momentum
+        v -= new
+        np.add(p.data, v, out=new)
         if not np.all(np.isfinite(new)):
             raise TrainingDivergenceError(
                 f"parameter {name!r} became non-finite at epoch {state.epoch} "

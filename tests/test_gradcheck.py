@@ -1,13 +1,16 @@
 """Tests for the finite-difference checker itself: it must bless correct
 gradients, flag broken ones, and refuse ill-posed setups."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
 from capsnet import GradientTape, Tensor
 from capsnet import ops
 from capsnet.errors import GradientCheckError
-from capsnet.gradcheck import (DEFAULT_STEP, DEFAULT_TOL, MODEL_COORDS_PER_TENSOR,
+from capsnet.gradcheck import (DEFAULT_STEP, DEFAULT_TOL, MODEL_COORDS_PER_TENSOR, RUNGS,
                                finite_diff_check, model_check, model_links, model_losses,
                                standard_checks, toy_model_config)
 from capsnet.model import CapsuleClassifier
@@ -204,3 +207,61 @@ def test_a_probe_in_each_link_reads_the_full_forward_loss():
             flat[0] = value
             assert probe_loss(name)().item() == full_forward_loss(), name
         flat[0] = original
+
+
+def _outputs(out) -> list:
+    if isinstance(out, Tensor):
+        return [out]
+    if isinstance(out, tuple):
+        return list(out)
+    return [v for v in (getattr(out, f.name) for f in dataclasses.fields(out))
+            if v is not None]
+
+
+def _constant(value):
+    """``value`` with every tensor in it, also in a dict, an untracked copy."""
+    if isinstance(value, Tensor):
+        return Tensor(value.data)
+    if isinstance(value, dict):
+        return {k: _constant(v) for k, v in value.items()}
+    return value
+
+
+def _assert_forward_ignores_the_tape(forward, inputs: dict) -> None:
+    """``forward(**inputs)`` gives the same bits with no tape, under a tape
+    with the inputs tracked, and under a tape with every input constant;
+    only the tracked run's outputs are tracked."""
+    untaped = _outputs(forward(**inputs))
+    with GradientTape():
+        tracked = _outputs(forward(**inputs))
+    with GradientTape() as tape:
+        untracked = _outputs(forward(**_constant(inputs)))
+    assert len(tape) == 0
+    assert any(t.requires_grad for t in tracked)
+    assert len(untaped) == len(tracked) == len(untracked)
+    for a, b, c in zip(untaped, tracked, untracked):
+        assert not a.requires_grad and not c.requires_grad
+        assert a.dtype == b.dtype == c.dtype and a.shape == b.shape == c.shape
+        assert a.data.tobytes() == b.data.tobytes() == c.data.tobytes()
+
+
+@pytest.mark.parametrize("i", range(len(RUNGS)), ids=[name for name, _, _ in RUNGS])
+def test_rung_forward_values_do_not_depend_on_the_tape(i):
+    _, draw, forward = RUNGS[i]
+    _assert_forward_ignores_the_tape(forward, draw(np.random.default_rng([0, i])))
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_model_forward_values_do_not_depend_on_the_tape(training):
+    model, params, stats, x, _ = _toy_problem(0)
+    stats_after = []
+
+    def forward(params, x):
+        fresh = copy.deepcopy(stats)  # a training forward updates its stats
+        out = model.forward(params, fresh, x, training=training)
+        stats_after.append([a.tobytes() for k in sorted(fresh)
+                            for a in (fresh[k].mean, fresh[k].var)])
+        return out
+
+    _assert_forward_ignores_the_tape(forward, dict(params=params, x=Tensor(x)))
+    assert stats_after[0] == stats_after[1] == stats_after[2]

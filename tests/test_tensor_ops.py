@@ -45,6 +45,15 @@ class TestTensor:
         t = Tensor([1, 2, 3])
         assert t.dtype == np.float64
         assert t.shape == (3,)
+        for value, expect in [(np.array([0.5, -2.0], dtype=np.float16), [0.5, -2.0]),
+                              (np.array([True, False]), [1.0, 0.0]),
+                              (np.float16(1.5), 1.5), (np.int32(-3), -3.0),
+                              (np.float32(2.5), 2.5), (True, 1.0)]:
+            t = Tensor(value)
+            want = np.float32 if isinstance(value, np.float32) else np.float64
+            assert t.dtype == want
+            assert t.shape == np.shape(value)
+            assert np.array_equal(t.data, expect)
 
     def test_preserves_float32(self):
         t = Tensor(np.zeros((2, 2), dtype=np.float32))
@@ -325,6 +334,46 @@ class TestElementwise:
             tracemalloc.stop()
         assert peak < 1.1 * g.nbytes
         assert out.tobytes() == (g * (2.0 * x.data)).tobytes()
+
+    @staticmethod
+    def _maximum_vjp(x, threshold):
+        with GradientTape() as tape:
+            y = ops.maximum(x, threshold)
+        [(_, [(_, vjp)])] = tape._records
+        return y, vjp
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("threshold", [0.0, 1e-12, -0.5])
+    def test_maximum_vjp_matches_a_bool_mask_bit_for_bit(self, rng, dtype, threshold):
+        xd = rng.standard_normal(64).astype(dtype)
+        xd[:4] = [np.nan, 0.0, -0.0, threshold]
+        x = Tensor(xd, requires_grad=True)
+        g = rng.standard_normal(64).astype(dtype)
+        # on a clamped entry a negative g gives -0.0, and NaN or inf gives NaN
+        g[:8] = [-1.0, np.nan, -0.0, np.inf] * 2
+        y, vjp = self._maximum_vjp(x, threshold)
+        with np.errstate(invalid="ignore"):  # inf * 0
+            out = vjp(g)
+            by_output = g * (y.data > dtype(threshold))
+            by_input = g * (xd > dtype(threshold))
+        assert out.dtype == dtype
+        assert out.tobytes() == by_output.tobytes() == by_input.tobytes()
+
+    def test_maximum_vjp_allocates_only_its_result(self, rng):
+        # Below numpy's 256 KiB cut for reusing a temporary in place, and
+        # large enough that the comparison's fixed cast buffer (8192 bools)
+        # fits the margin while a full bool mask (30 kB) does not.
+        x = Tensor(rng.standard_normal(30000), requires_grad=True)
+        g = rng.standard_normal(30000)
+        _, vjp = self._maximum_vjp(x, 0.0)
+        tracemalloc.start()
+        try:
+            out = vjp(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * g.nbytes
+        assert out.tobytes() == (g * (x.data > 0)).tobytes()
 
     def test_relu_masks_gradient(self):
         x = Tensor([-1.0, 2.0], requires_grad=True)

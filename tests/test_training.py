@@ -96,6 +96,27 @@ class TestSGD:
             sgd_step(state, g, 0.1)
         assert np.all(np.abs(state.params["w"].data) < 1e-3)
 
+    def test_float32_step_matches_the_formula_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        shapes = {"w": (3, 3, 4, 8), "b": (8,)}
+        state = tiny_state({k: rng.standard_normal(s).astype(np.float32)
+                            for k, s in shapes.items()}, momentum=0.9, l2=5e-4)
+        for k, s in shapes.items():
+            state.velocity[k] = (0.01 * rng.standard_normal(s)).astype(np.float32)
+        grads = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+        given = {k: g.copy() for k, g in grads.items()}
+        cfg, lr = state.config, 0.07
+        expect = {}
+        for k, p in state.params.items():
+            v = cfg.momentum * state.velocity[k] - lr * (grads[k] + cfg.l2 * p.data)
+            expect[k] = (p.data + v, v)
+        sgd_step(state, grads, lr)
+        for k, (p, v) in expect.items():
+            assert state.params[k].data.dtype == np.float32
+            assert state.params[k].data.tobytes() == p.tobytes()
+            assert state.velocity[k].tobytes() == v.tobytes()
+            assert grads[k].tobytes() == given[k].tobytes()
+
     def test_divergence_raises(self):
         state = tiny_state({"w": np.array([1.0])})
         with pytest.raises(TrainingDivergenceError) as e:
