@@ -11,7 +11,7 @@ The package provides:
 * ``training`` / ``checkpoint`` / ``data``: SGD loop, persistence, loaders
 * ``gradcheck``: finite-difference verification of every gradient path
 * ``ablation``: the v1..v5 architecture ladder
-* ``cli``: train / eval / gradcheck / routing-demo / ablate subcommands
+* ``cli``: train / eval / gradcheck / ablate subcommands
 """
 
 from .ablation import LADDER, ladder_config, run_ladder
@@ -21,8 +21,8 @@ from .attention import (AttentionResult, attention_capsules,
 from .backbone import Bottleneck, Stem, block_widths, parameter_count
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ModelConfig, TrainConfig
-from .data import (find_idx_split, load_cifar10_split, load_idx_pair, make_bars,
-                   make_blobs, normalize_images, take_subset)
+from .data import (find_idx_split, load_cifar10_split, load_idx_pair, make_blobs,
+                   normalize_images, take_subset)
 from .errors import (BatchSizeError, CapsnetError, CheckpointError, ConfigError,
                      DataFormatError, GradientCheckError, ShapeError,
                      TrainingDivergenceError)

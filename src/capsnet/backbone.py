@@ -75,7 +75,7 @@ def conv_bn(params: dict, stats: dict, conv: str, bn: str, x, stride: int,
     gamma, beta = params[bn + ".gamma"], params[bn + ".beta"]
     if training:
         return ops.batch_norm(ops.conv2d(x, w, stride=stride), gamma, beta, stats[bn])
-    scale, shift = ops.fold_batch_norm(gamma, beta, stats[bn], w.dtype)
+    scale, shift = ops.fold_batch_norm(gamma, beta, stats[bn])
     return ops.conv2d(x, ops.multiply(w, scale), stride=stride, bias=shift)
 
 

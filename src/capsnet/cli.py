@@ -5,7 +5,6 @@ Subcommands:
 * ``train``         fit a model on a dataset, write history.csv + checkpoint
 * ``eval``          evaluate a checkpoint on a dataset
 * ``gradcheck``     run the finite-difference verification ladder
-* ``routing-demo``  walk one routing pass and compare against the oracle
 * ``ablate``        train the architecture ladder and report accuracies
 """
 
@@ -26,12 +25,11 @@ from .config import ModelConfig, TrainConfig
 from .errors import CapsnetError, ConfigError
 from .gradcheck import standard_checks
 from .model import CapsuleClassifier
-from .routing import fm_interaction, fm_interaction_reference, l2_normalize, route
 from .training import evaluate, fit, init_train_state
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dataset", choices=("blobs", "bars", "idx", "cifar10"),
+    p.add_argument("--dataset", choices=("blobs", "idx", "cifar10"),
                    default="blobs", help="data source (default: blobs)")
     p.add_argument("--data-dir", type=Path, default=None,
                    help="directory with IDX files or CIFAR-10 binary batches")
@@ -52,8 +50,9 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
 
 def _load_split(args, split: str) -> tuple[np.ndarray, np.ndarray]:
     """The ``split`` ("train" or "test") of the dataset the flags name, as
-    (normalized images, labels)."""
-    synthetic = args.dataset in ("blobs", "bars")
+    (images, labels): a file-backed split keeps the loader's uint8 pixels,
+    which the model scales batch by batch."""
+    synthetic = args.dataset == "blobs"
     least = 1 if synthetic else 0  # 0 keeps a file-backed split whole
     for flag, n in (("--samples", args.samples), ("--test-samples", args.test_samples)):
         if n < least:
@@ -61,9 +60,8 @@ def _load_split(args, split: str) -> tuple[np.ndarray, np.ndarray]:
     test = split == "test"
     n = args.test_samples if test else args.samples
     if synthetic:
-        maker = datasets.make_blobs if args.dataset == "blobs" else datasets.make_bars
-        return maker(n, num_classes=args.classes, image_size=args.image_size,
-                     noise=args.noise, seed=args.data_seed + int(test))
+        return datasets.make_blobs(n, num_classes=args.classes, image_size=args.image_size,
+                                   noise=args.noise, seed=args.data_seed + int(test))
     if args.data_dir is None:
         raise CapsnetError(f"--data-dir is required for dataset {args.dataset!r}")
     if args.dataset == "idx":
@@ -71,14 +69,14 @@ def _load_split(args, split: str) -> tuple[np.ndarray, np.ndarray]:
     else:
         x, y = datasets.load_cifar10_split(args.data_dir, split)
     if n and n < x.shape[0]:
-        x, y = datasets.take_subset(x, y, n, seed=args.data_seed)
-    return datasets.normalize_images(x), y
+        return datasets.take_subset(x, y, n, seed=args.data_seed)
+    return x, y
 
 
 def _load_dataset(args) -> tuple[tuple, tuple, tuple, int]:
     """Returns ((x_tr, y_tr), (x_te, y_te), input_shape, num_classes)."""
     (x_tr, y_tr), (x_te, y_te) = _load_split(args, "train"), _load_split(args, "test")
-    if args.dataset in ("blobs", "bars"):
+    if args.dataset == "blobs":
         classes = args.classes
     else:
         classes = int(max(y_tr.max(), y_te.max())) + 1
@@ -175,7 +173,7 @@ def cmd_eval(args) -> int:
     x_te, y_te = _load_split(args, "test")
     # A synthetic set is drawn for its class count and image size; a file
     # subset may lack the top class, so evaluate range-checks its labels.
-    if args.dataset in ("blobs", "bars"):
+    if args.dataset == "blobs":
         _check_dataset(model_cfg, x_te.shape[1:], args.classes, f"checkpoint {args.checkpoint}")
     metrics = evaluate(model, state.params, state.stats, x_te, y_te,
                        batch_size=args.batch_size)
@@ -193,29 +191,6 @@ def cmd_gradcheck(args) -> int:
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} gradient checks passed")
     return 1 if failed else 0
-
-
-def cmd_routing_demo(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    u_hat = rng.standard_normal((args.classes, args.capsules, args.dim))
-    print(f"predictions: {args.classes} classes x {args.capsules} capsules "
-          f"x {args.dim} features")
-
-    normalized = l2_normalize(u_hat).data
-    fast = fm_interaction(normalized).data
-    oracle = fm_interaction_reference(normalized)
-    diff = float(np.max(np.abs(fast - oracle)))
-    print(f"pairwise interaction vs brute-force oracle: max |diff| = {diff:.2e}")
-
-    for variant in ("modified", "original"):
-        res = route(u_hat, variant=variant)
-        act = res.activations.data
-        print(f"[{variant}] activations: {np.array2string(act, precision=4)}")
-        print(f"[{variant}] sum={act.sum():.6f}  max={act.max():.4f}  "
-              f"argmax={int(act.argmax())}")
-        norms = np.linalg.norm(res.poses.data, axis=-1)
-        print(f"[{variant}] pose norms: {np.array2string(norms, precision=6)}")
-    return 0 if diff < 1e-12 else 1
 
 
 def cmd_ablate(args) -> int:
@@ -256,14 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-model", action="store_true",
                    help="check individual ops only, not the assembled model")
     p.set_defaults(func=cmd_gradcheck)
-
-    p = sub.add_parser("routing-demo",
-                       help="run one routing pass against the brute-force oracle")
-    p.add_argument("--classes", type=int, default=5)
-    p.add_argument("--capsules", type=int, default=8)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_routing_demo)
 
     p = sub.add_parser("ablate", help="train the architecture ladder")
     _add_dataset_args(p)

@@ -1,8 +1,10 @@
-"""Dataset ingestion: IDX files, CIFAR-10 binary batches, and synthetic sets.
+"""Dataset ingestion: IDX files, CIFAR-10 binary batches, and synthetic blobs.
 
 All loaders return ``(images, labels)`` with images as [N, H, W, C] arrays
-and labels as 1-D int64.  ``normalize_images`` maps uint8 pixels to
-float32 in [0, 1]; models consume the normalized form.
+and labels as 1-D int64.  File loaders keep the pixels uint8;
+``normalize_images`` maps them to float32 in [0, 1], and
+``CapsuleClassifier.forward`` applies it to each uint8 batch it is given,
+so the CLI never holds a file-backed split as floats.
 """
 
 from __future__ import annotations
@@ -131,16 +133,7 @@ def normalize_images(images: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# synthetic datasets
-
-def _check_synthetic(num_classes: int, image_size: int, channels: int, noise: float) -> None:
-    for name, value in (("num_classes", num_classes), ("image_size", image_size),
-                        ("channels", channels)):
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
-    if not noise >= 0:
-        raise ConfigError(f"noise must be >= 0, got {noise}")
-
+# synthetic data
 
 def make_blobs(n: int, num_classes: int = 4, image_size: int = 16,
                channels: int = 1, noise: float = 0.05,
@@ -151,7 +144,12 @@ def make_blobs(n: int, num_classes: int = 4, image_size: int = 16,
     sample jitters its anchor slightly and adds pixel noise.  Returns
     float32 images in roughly [0, 1] and int64 labels, class-balanced.
     """
-    _check_synthetic(num_classes, image_size, channels, noise)
+    for name, value in (("num_classes", num_classes), ("image_size", image_size),
+                        ("channels", channels)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
+    if not noise >= 0:
+        raise ConfigError(f"noise must be >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % num_classes
     rng.shuffle(labels)
@@ -171,32 +169,6 @@ def make_blobs(n: int, num_classes: int = 4, image_size: int = 16,
     bump = np.exp(-((grid - cx) ** 2 + (grid[:, None] - cy) ** 2) / (2.0 * sigma ** 2))
     images = (bump + pixel_noise).astype(np.float32)
     images = np.repeat(images[..., None], channels, axis=3)
-    return images, labels.astype(np.int64)
-
-
-def make_bars(n: int, num_classes: int = 4, image_size: int = 16,
-              channels: int = 1, noise: float = 0.05,
-              seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Axis-aligned bright bars; the first half of the classes are vertical
-    bars at distinct columns, the rest horizontal bars at distinct rows."""
-    _check_synthetic(num_classes, image_size, channels, noise)
-    rng = np.random.default_rng(seed)
-    labels = np.arange(n) % num_classes
-    rng.shuffle(labels)
-    n_vertical = (num_classes + 1) // 2
-    images = rng.normal(scale=noise,
-                        size=(n, image_size, image_size, channels)).astype(np.float32)
-    thickness = max(image_size // 8, 1)
-    for i in range(n):
-        j = int(labels[i])
-        if j < n_vertical:
-            pos = (j + 1) * image_size // (n_vertical + 1)
-            images[i, :, pos:pos + thickness, :] += 1.0
-        else:
-            r = j - n_vertical
-            n_horizontal = num_classes - n_vertical
-            pos = (r + 1) * image_size // (n_horizontal + 1)
-            images[i, pos:pos + thickness, :, :] += 1.0
     return images, labels.astype(np.int64)
 
 

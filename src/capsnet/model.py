@@ -23,6 +23,7 @@ from . import ops
 from .attention import attention_capsules
 from .backbone import Bottleneck, Stem, bn_rows, conv_bn, conv_rows, se_rows
 from .config import ModelConfig
+from .data import normalize_images
 from .errors import ConfigError, ShapeError
 from .routing import capsule_predictions, route, squash
 from .tensor import Tensor
@@ -122,9 +123,14 @@ class CapsuleClassifier:
                 f"got shape {data.shape}")
         if isinstance(x, Tensor):
             return x
+        if data.dtype == np.uint8:
+            data = normalize_images(data)
         return Tensor(data.astype(self.np_dtype, copy=False))
 
     def forward(self, params: dict, stats: dict, x, training: bool = False) -> ModelOutput:
+        """The model's output for the [B, H, W, C] batch ``x``.  This is the
+        one place uint8 pixels become input: a uint8 batch goes through
+        ``normalize_images``, then any array is cast to the config's dtype."""
         x = self._as_input(x)
         for layer in self.layers:
             x = layer(params, stats, x, training)

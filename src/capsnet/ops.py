@@ -523,13 +523,14 @@ def batch_norm(x, gamma, beta, stats: RunningStats) -> Tensor:
     return add(multiply(centered, reshape(scale, per_channel)), beta)
 
 
-def fold_batch_norm(gamma, beta, stats: RunningStats, dtype) -> tuple[Tensor, Tensor]:
+def fold_batch_norm(gamma, beta, stats: RunningStats) -> tuple[Tensor, Tensor]:
     """Eval batch norm as the per-channel affine map ``x * scale + shift``.
 
-    The running statistics are constants in ``dtype``; ``scale`` and
+    The running statistics are constants in ``gamma``'s dtype; ``scale`` and
     ``shift`` are [C]-sized tape ops on ``gamma`` and ``beta``, so gradients
     reach them through whatever consumes the fold.
     """
+    dtype = gamma.dtype
     inv = 1.0 / np.sqrt(stats.var.astype(dtype) + dtype.type(BN_EPS))
     scale = multiply(gamma, inv)
     shift = subtract(beta, multiply(stats.mean.astype(dtype), scale))

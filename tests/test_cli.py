@@ -7,11 +7,11 @@ import shutil
 import numpy as np
 import pytest
 
-from capsnet import (CapsuleClassifier, ModelConfig, TrainConfig, init_train_state,
+from capsnet import (CapsuleClassifier, ModelConfig, TrainConfig, fit, init_train_state,
                      load_checkpoint, save_checkpoint)
 from capsnet import cli, training
-from capsnet.cli import TOY_OVERRIDES, main
-from capsnet.data import make_blobs
+from capsnet.cli import TOY_OVERRIDES, build_parser, main
+from capsnet.data import load_cifar10_split, make_blobs, normalize_images
 from test_data import write_idx_images, write_idx_labels
 
 FAST_DATA = ["--dataset", "blobs", "--samples", "64", "--test-samples", "32",
@@ -19,13 +19,11 @@ FAST_DATA = ["--dataset", "blobs", "--samples", "64", "--test-samples", "32",
 FAST_TRAIN = ["--toy", "--epochs", "1", "--batch-size", "16"]
 
 
-def test_routing_demo_matches_oracle(capsys):
-    assert main(["routing-demo", "--classes", "4", "--capsules", "6",
-                 "--dim", "8", "--seed", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "oracle" in out
-    assert "[modified]" in out and "[original]" in out
-    assert "sum=1.000000" in out
+def test_bars_dataset_is_rejected(tmp_path):
+    with pytest.raises(SystemExit) as e:
+        main(["train", *FAST_TRAIN, "--dataset", "bars", "--out", str(tmp_path / "run")])
+    assert e.value.code == 2
+    assert not (tmp_path / "run").exists()
 
 
 def test_gradcheck_ops_only(capsys):
@@ -205,6 +203,61 @@ def test_cifar10_eval_reads_only_the_test_batch(tmp_path, capsys, rng):
     code, line = evaluate(only_test)
     assert code == 0 and json.loads(line)["samples"] == 7
     assert evaluate(full) == (0, line)
+
+
+def write_cifar_dir(directory, rng, records=4):
+    """A CIFAR-10 directory of all six batch files, ``records`` each in the
+    training batches; the test batch holds the labels 0..9 once each."""
+    directory.mkdir()
+    for name in [f"data_batch_{i}" for i in range(1, 6)] + ["test_batch"]:
+        n = 10 if name == "test_batch" else records
+        raw = rng.integers(0, 256, (n, 3073), dtype=np.uint8)
+        raw[:, 0] = np.arange(n) % 10
+        (directory / name).write_bytes(raw.tobytes())
+    return directory
+
+
+@pytest.mark.parametrize("dataset", ["idx", "cifar10"])
+@pytest.mark.parametrize("samples", ["0", "3"], ids=["whole", "subset"])
+def test_file_splits_stay_uint8(tmp_path, rng, dataset, samples):
+    data = tmp_path / "data"
+    if dataset == "cifar10":
+        write_cifar_dir(data, rng)
+    else:
+        data.mkdir()
+        for prefix in ("train", "t10k"):
+            write_idx_images(data / f"{prefix}-images-idx3-ubyte",
+                             rng.integers(0, 256, (6, 8, 8), dtype=np.uint8))
+            write_idx_labels(data / f"{prefix}-labels-idx1-ubyte", np.arange(6) % 3)
+    args = build_parser().parse_args(["eval", "--dataset", dataset, "--data-dir", str(data),
+                                      "--samples", samples, "--test-samples", samples,
+                                      "--checkpoint", "unused"])
+    for split in ("train", "test"):
+        x, y = cli._load_split(args, split)
+        assert x.dtype == np.uint8 and x.ndim == 4 and y.dtype == np.int64
+        assert x.shape[0] == (int(samples) or y.shape[0])
+
+
+def test_cifar10_train_equals_fit_on_normalized_images(tmp_path, rng):
+    """The console path keeps the split uint8 and scales each batch; it
+    writes the bytes of ``fit`` on the split normalized up front."""
+    data = write_cifar_dir(tmp_path / "cifar", rng)
+    out_dir = tmp_path / "run"
+    assert main(["train", "--dataset", "cifar10", "--data-dir", str(data), "--samples", "0",
+                 "--test-samples", "0", "--toy", "--epochs", "2", "--batch-size", "8",
+                 "--quiet", "--out", str(out_dir)]) == 0
+
+    model_cfg = ModelConfig(input_shape=(32, 32, 3), num_classes=10, **TOY_OVERRIDES)
+    model = CapsuleClassifier(model_cfg)
+    state = init_train_state(model, TrainConfig(epochs=2, batch_size=8))
+    (x_tr, y_tr), (x_te, y_te) = (load_cifar10_split(data, split) for split in ("train", "test"))
+    lib_dir = tmp_path / "lib"
+    lib_dir.mkdir()
+    fit(model, state, (normalize_images(x_tr), y_tr),
+        eval_data=(normalize_images(x_te), y_te), csv_path=lib_dir / "history.csv")
+    save_checkpoint(lib_dir / "checkpoint", model_cfg, state)
+    for name in ("history.csv", "checkpoint"):
+        assert (out_dir / name).read_bytes() == (lib_dir / name).read_bytes(), name
 
 
 def test_unknown_subcommand_exits_via_argparse():

@@ -1,5 +1,5 @@
 """Data ingestion tests: IDX and CIFAR-10 binary parsing with corruption
-cases, plus the synthetic generators."""
+cases, plus the synthetic blobs."""
 
 import gzip
 import struct
@@ -9,7 +9,7 @@ import pytest
 
 from capsnet.data import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, load_cifar10_batch,
                           load_cifar10_split, load_idx_images, load_idx_labels,
-                          load_idx_pair, find_idx_split, make_bars, make_blobs,
+                          load_idx_pair, find_idx_split, make_blobs,
                           normalize_images, take_subset)
 from capsnet.errors import ConfigError, DataFormatError
 
@@ -206,7 +206,7 @@ class TestSynthetic:
         assert x.tobytes() == x_ref.tobytes()
         assert y.dtype == y_ref.dtype and np.array_equal(y, y_ref)
 
-    @pytest.mark.parametrize("maker", [make_blobs, make_bars])
+    @pytest.mark.parametrize("maker", [make_blobs])
     def test_shapes_balance_determinism(self, maker):
         x1, y1 = maker(40, num_classes=4, image_size=16, seed=3)
         x2, y2 = maker(40, num_classes=4, image_size=16, seed=3)
@@ -230,7 +230,7 @@ class TestSynthetic:
         assert x.shape[-1] == 3
         assert np.array_equal(x[..., 0], x[..., 1])
 
-    @pytest.mark.parametrize("maker", [make_blobs, make_bars])
+    @pytest.mark.parametrize("maker", [make_blobs])
     @pytest.mark.parametrize("bad,mention", [
         (dict(num_classes=0), "num_classes"), (dict(image_size=0), "image_size"),
         (dict(image_size=-4), "image_size"), (dict(channels=0), "channels"),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from capsnet import (LADDER, CapsuleClassifier, GradientTape, ModelConfig, Tensor,
-                     cross_entropy_loss, ladder_config, one_hot)
+                     cross_entropy_loss, ladder_config, normalize_images, one_hot)
 from capsnet.errors import ConfigError, ShapeError
 from capsnet.gradcheck import toy_model_config
 
@@ -226,3 +226,16 @@ class TestModel:
         out = model.forward(params, stats,
                             rng.standard_normal((2, 16, 16, 1)), training=True)
         assert out.probs.dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_uint8_batch_is_normalized_on_input(self, rng, dtype):
+        # forward is where file-backed pixels become floats: a uint8 batch
+        # gives the bits of the same batch normalized beforehand
+        model, _ = toy_model(dtype=dtype)
+        params, stats = model.init_params(0)
+        x = rng.integers(0, 256, (3, 16, 16, 1), dtype=np.uint8)
+        got = model.forward(params, stats, x)
+        want = model.forward(params, stats, normalize_images(x))
+        assert got.probs.dtype == np.dtype(dtype)
+        for a, b in ((got.probs, want.probs), (got.poses, want.poses)):
+            assert a.data.tobytes() == b.data.tobytes()
