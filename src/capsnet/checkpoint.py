@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ModelConfig, TrainConfig
+from .config import ModelConfig, TrainConfig, _is_int
 from .errors import CheckpointError
 from .model import CapsuleClassifier
 from .ops import RunningStats
@@ -31,11 +31,6 @@ from .training import TrainState
 
 FORMAT_VERSION = 2
 _HEADER_KEYS = ("format_version", "epoch", "model_config", "train_config", "payload_sha256")
-
-
-def _is_count(value) -> bool:
-    """A JSON integer >= 0 (``true`` is not one)."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _arrays(params: dict, stats: dict, velocity: dict) -> list:
@@ -150,7 +145,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, TrainState]:
         raise CheckpointError(f"{path}: payload SHA-256 mismatch (file {digest[:12]}..., "
                               f"header {str(header['payload_sha256'])[:12]}...)")
 
-    if not _is_count(header["epoch"]):
+    if not (_is_int(header["epoch"]) and header["epoch"] >= 0):
         raise CheckpointError(f"{path}: epoch must be an integer >= 0, "
                               f"got {header['epoch']!r}")
     for key in ("model_config", "train_config"):

@@ -1,7 +1,8 @@
 """Dataset ingestion: IDX files, CIFAR-10 binary batches, and synthetic blobs.
 
-All loaders return ``(images, labels)`` with images as [N, H, W, C] arrays
-and labels as 1-D int64.  File loaders keep the pixels uint8;
+``load_idx`` reads one IDX file of any rank; every other loader returns
+``(images, labels)`` with images as [N, H, W, C] arrays and labels as 1-D
+int64.  File loaders keep the pixels uint8;
 ``normalize_images`` maps them to float32 in [0, 1], and
 ``CapsuleClassifier.forward`` applies it to each uint8 batch it is given,
 so the CLI never holds a file-backed split as floats.
@@ -10,6 +11,7 @@ so the CLI never holds a file-backed split as floats.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -18,9 +20,6 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-
-IDX_IMAGES_MAGIC = 0x00000803
-IDX_LABELS_MAGIC = 0x00000801
 
 PathLike = Union[str, Path]
 
@@ -37,44 +36,36 @@ def _read_bytes(path: PathLike) -> bytes:
     return raw
 
 
-def load_idx_images(path: PathLike) -> np.ndarray:
-    """Read a big-endian IDX3 image file (optionally gzipped) as [N,H,W] uint8."""
+def load_idx(path: PathLike) -> np.ndarray:
+    """Read a big-endian IDX file of unsigned bytes (optionally gzipped): the
+    magic ``00 00 08 <rank>``, ``rank`` 32-bit sizes, then the payload, as a
+    uint8 array of that shape."""
     raw = _read_bytes(path)
-    if len(raw) < 16:
-        raise DataFormatError(f"{path}: too short for an IDX image header")
-    magic, n, h, w = struct.unpack(">IIII", raw[:16])
-    if magic != IDX_IMAGES_MAGIC:
-        raise DataFormatError(
-            f"{path}: bad IDX image magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
-    expected = 16 + n * h * w
+    if len(raw) < 4 or raw[:3] != b"\x00\x00\x08":
+        raise DataFormatError(f"{path}: bad IDX magic 0x{raw[:4].hex()}, expected 0x000008 "
+                              "followed by the rank")
+    rank = raw[3]
+    header = 4 + 4 * rank
+    if len(raw) < header:
+        raise DataFormatError(f"{path}: too short for a rank-{rank} IDX header")
+    shape = struct.unpack(f">{rank}I", raw[4:header])
+    expected = header + math.prod(shape)
     if len(raw) != expected:
-        raise DataFormatError(
-            f"{path}: payload is {len(raw)} bytes, expected {expected} for {n}x{h}x{w}")
-    return np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(n, h, w).copy()
-
-
-def load_idx_labels(path: PathLike) -> np.ndarray:
-    """Read a big-endian IDX1 label file (optionally gzipped) as [N] int64."""
-    raw = _read_bytes(path)
-    if len(raw) < 8:
-        raise DataFormatError(f"{path}: too short for an IDX label header")
-    magic, n = struct.unpack(">II", raw[:8])
-    if magic != IDX_LABELS_MAGIC:
-        raise DataFormatError(
-            f"{path}: bad IDX label magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}")
-    if len(raw) != 8 + n:
-        raise DataFormatError(f"{path}: payload is {len(raw)} bytes, expected {8 + n}")
-    return np.frombuffer(raw, dtype=np.uint8, offset=8).astype(np.int64)
+        raise DataFormatError(f"{path}: payload is {len(raw)} bytes, expected {expected} "
+                              f"for {'x'.join(map(str, shape))}")
+    return np.frombuffer(raw, dtype=np.uint8, offset=header).reshape(shape).copy()
 
 
 def load_idx_pair(images_path: PathLike, labels_path: PathLike) -> tuple[np.ndarray, np.ndarray]:
     """Load matching IDX image/label files as ([N,H,W,1] uint8, [N] int64)."""
-    images = load_idx_images(images_path)
-    labels = load_idx_labels(labels_path)
+    images, labels = load_idx(images_path), load_idx(labels_path)
+    for path, arr, rank in ((images_path, images, 3), (labels_path, labels, 1)):
+        if arr.ndim != rank:
+            raise DataFormatError(f"{path}: IDX rank {arr.ndim}, expected rank {rank}")
     if images.shape[0] != labels.shape[0]:
         raise DataFormatError(
             f"image count {images.shape[0]} does not match label count {labels.shape[0]}")
-    return images[..., None], labels
+    return images[..., None], labels.astype(np.int64)
 
 
 def find_idx_split(directory: PathLike, split: str = "train") -> tuple[Path, Path]:

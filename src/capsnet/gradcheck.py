@@ -31,7 +31,7 @@ from .errors import GradientCheckError
 from .model import CapsuleClassifier
 from .routing import fm_interaction, l2_normalize, squash
 from .tensor import GradientTape, Tensor
-from .training import cross_entropy_loss
+from .training import cross_entropy_loss, one_hot
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOL = 1e-4
@@ -51,9 +51,11 @@ class CheckResult:
         return self.max_rel_err < self.tol
 
     def line(self) -> str:
+        """One PASS or FAIL line; a FAIL line ends with the worst source's name."""
         status = "PASS" if self.passed else "FAIL"
-        return (f"{status}  {self.name:<22s} max_rel_err={self.max_rel_err:.3e} "
+        line = (f"{status}  {self.name:<22s} max_rel_err={self.max_rel_err:.3e} "
                 f"(tol {self.tol:.1e}, {self.coords} coords)")
+        return line if self.passed else f"{line}, worst in {self.worst_source}"
 
 
 def finite_diff_check(name: str, build_loss: Callable[[], Tensor],
@@ -259,8 +261,7 @@ def model_losses(seed: int = 0) -> tuple[dict, Callable[[], Tensor],
     params, stats = model.init_params(seed)
     rng = np.random.default_rng([seed, 1000])
     x = rng.standard_normal((2,) + cfg.input_shape)
-    labels = np.zeros((2, cfg.num_classes))
-    labels[np.arange(2), rng.integers(0, cfg.num_classes, 2)] = 1.0
+    labels = one_hot(rng.integers(0, cfg.num_classes, 2), cfg.num_classes, dtype=np.float64)
 
     links = model_links(model, params, stats, labels)
     inputs = [Tensor(x)]

@@ -53,7 +53,6 @@ def init_from_table(rows, seed: int, dtype) -> tuple[dict, dict]:
 @dataclass
 class ModelOutput:
     probs: Tensor                 # [B, J] probability distribution used for loss/prediction
-    activations: Tensor           # raw routing (or attention) activations
     poses: Tensor                 # [B, J, k] class capsule poses
     agreements: Tensor            # [B, J] scalar agreements
     gates: Optional[Tensor] = None  # [B, J] attention gates when enabled
@@ -112,25 +111,22 @@ class CapsuleClassifier:
         return init_from_table(self.param_table(), seed, self.np_dtype)
 
     def _as_input(self, x) -> Tensor:
-        if isinstance(x, Tensor):
-            data = x.data
-        else:
-            data = np.asarray(x)
+        data = x.data if isinstance(x, Tensor) else np.asarray(x)
         if data.ndim != 4 or data.shape[1:] != tuple(self.config.input_shape):
             raise ShapeError(
                 f"input must be [B, {self.config.input_shape[0]}, "
                 f"{self.config.input_shape[1]}, {self.config.input_shape[2]}], "
                 f"got shape {data.shape}")
-        if isinstance(x, Tensor):
-            return x
         if data.dtype == np.uint8:
             data = normalize_images(data)
         return Tensor(data.astype(self.np_dtype, copy=False))
 
     def forward(self, params: dict, stats: dict, x, training: bool = False) -> ModelOutput:
-        """The model's output for the [B, H, W, C] batch ``x``.  This is the
-        one place uint8 pixels become input: a uint8 batch goes through
-        ``normalize_images``, then any array is cast to the config's dtype."""
+        """The model's output for the [B, H, W, C] batch ``x``, an array or a
+        :class:`Tensor`.  This is the one place pixels become input: a uint8
+        batch goes through ``normalize_images``, then every batch is cast to
+        the config's dtype.  So uint8 pixels must arrive as an array:
+        ``Tensor(...)`` has already made them unscaled float64."""
         x = self._as_input(x)
         for layer in self.layers:
             x = layer(params, stats, x, training)
@@ -151,12 +147,10 @@ class CapsuleClassifier:
             att = attention_capsules(routed.poses, routed.agreements,
                                      params["attn.w1"], params["attn.b1"],
                                      params["attn.w2"], params["attn.b2"])
-            return ModelOutput(probs=att.activations, activations=att.activations,
-                               poses=att.poses, agreements=routed.agreements,
-                               gates=att.gates)
+            return ModelOutput(probs=att.activations, poses=att.poses,
+                               agreements=routed.agreements, gates=att.gates)
         # 'original' activations are the raw exp(b); exp(b)/sum(exp(b)) is
         # softmax(b), taken shifted so it cannot overflow.
         probs = (routed.activations if cfg.routing == "modified"
                  else ops.softmax(routed.agreements))
-        return ModelOutput(probs=probs, activations=routed.activations,
-                           poses=routed.poses, agreements=routed.agreements)
+        return ModelOutput(probs=probs, poses=routed.poses, agreements=routed.agreements)

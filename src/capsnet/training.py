@@ -45,8 +45,7 @@ def cross_entropy_loss(probs, targets) -> Tensor:
     one-hot array.  The floor keeps log finite; its clamp zone carries zero
     gradient.
     """
-    if not isinstance(targets, np.ndarray):
-        targets = np.asarray(targets)
+    targets = np.asarray(targets)
     if targets.shape != probs.shape:
         raise ShapeError(f"targets shape {targets.shape} must match probs {probs.shape}")
     logp = ops.log(ops.maximum(probs, LOG_FLOOR))

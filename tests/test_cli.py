@@ -12,7 +12,7 @@ from capsnet import (CapsuleClassifier, ModelConfig, TrainConfig, fit, init_trai
 from capsnet import cli, training
 from capsnet.cli import TOY_OVERRIDES, build_parser, main
 from capsnet.data import load_cifar10_split, make_blobs, normalize_images
-from test_data import write_idx_images, write_idx_labels
+from test_data import write_idx
 
 FAST_DATA = ["--dataset", "blobs", "--samples", "64", "--test-samples", "32",
              "--image-size", "12", "--classes", "3", "--data-seed", "0"]
@@ -153,8 +153,8 @@ def test_idx_dataset_trains_and_evaluates(tmp_path, capsys, rng):
     for prefix, n in (("train", 16), ("t10k", 10)):
         images = data / f"{prefix}-images-idx3-ubyte"
         labels = data / f"{prefix}-labels-idx1-ubyte"
-        write_idx_images(images, rng.integers(0, 256, (n, 8, 8), dtype=np.uint8))
-        write_idx_labels(labels, np.arange(n) % 3)
+        write_idx(images, rng.integers(0, 256, (n, 8, 8), dtype=np.uint8))
+        write_idx(labels, np.arange(n) % 3)
         if prefix == "train":
             for path in (images, labels):
                 path.with_name(path.name + ".gz").write_bytes(gzip.compress(path.read_bytes()))
@@ -226,9 +226,9 @@ def test_file_splits_stay_uint8(tmp_path, rng, dataset, samples):
     else:
         data.mkdir()
         for prefix in ("train", "t10k"):
-            write_idx_images(data / f"{prefix}-images-idx3-ubyte",
+            write_idx(data / f"{prefix}-images-idx3-ubyte",
                              rng.integers(0, 256, (6, 8, 8), dtype=np.uint8))
-            write_idx_labels(data / f"{prefix}-labels-idx1-ubyte", np.arange(6) % 3)
+            write_idx(data / f"{prefix}-labels-idx1-ubyte", np.arange(6) % 3)
     args = build_parser().parse_args(["eval", "--dataset", dataset, "--data-dir", str(data),
                                       "--samples", samples, "--test-samples", samples,
                                       "--checkpoint", "unused"])

@@ -7,23 +7,16 @@ import struct
 import numpy as np
 import pytest
 
-from capsnet.data import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, load_cifar10_batch,
-                          load_cifar10_split, load_idx_images, load_idx_labels,
-                          load_idx_pair, find_idx_split, make_blobs,
-                          normalize_images, take_subset)
+from capsnet.data import (load_cifar10_batch, load_cifar10_split, load_idx, load_idx_pair,
+                          find_idx_split, make_blobs, normalize_images, take_subset)
 from capsnet.errors import ConfigError, DataFormatError
 
 
-def write_idx_images(path, images):
-    """images [N,H,W] uint8, as a big-endian IDX3 file."""
-    n, h, w = images.shape
-    path.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, h, w) + images.tobytes())
-
-
-def write_idx_labels(path, labels):
-    """labels [N] in 0..255, as a big-endian IDX1 file."""
-    path.write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, len(labels))
-                     + labels.astype(np.uint8).tobytes())
+def write_idx(path, array):
+    """An array of values in 0..255, of any rank, as a big-endian IDX file:
+    the magic 00 00 08 <rank>, one 32-bit size per axis, then the bytes."""
+    path.write_bytes(struct.pack(f">I{array.ndim}I", 0x800 + array.ndim, *array.shape)
+                     + array.astype(np.uint8).tobytes())
 
 
 @pytest.fixture
@@ -31,21 +24,28 @@ def idx_files(tmp_path, rng):
     images = rng.integers(0, 256, (10, 5, 7), dtype=np.uint8)
     labels = rng.integers(0, 4, 10).astype(np.int64)
     ip, lp = tmp_path / "imgs", tmp_path / "lbls"
-    write_idx_images(ip, images)
-    write_idx_labels(lp, labels)
+    write_idx(ip, images)
+    write_idx(lp, labels)
     return ip, lp, images, labels
 
 
 class TestIdx:
-    def test_round_trip(self, idx_files):
+    def test_round_trip(self, tmp_path, rng, idx_files):
+        # the shape comes from the header, at any rank
         ip, lp, images, labels = idx_files
-        assert np.array_equal(load_idx_images(ip), images)
-        assert np.array_equal(load_idx_labels(lp), labels)
+        tp, table = tmp_path / "table", rng.integers(0, 256, (3, 11), dtype=np.uint8)
+        write_idx(tp, table)
+        assert tp.read_bytes()[:12] == bytes.fromhex("00000802" "00000003" "0000000b")
+        for path, want in ((ip, images), (lp, labels), (tp, table)):
+            got = load_idx(path)
+            assert got.dtype == np.uint8 and got.shape == want.shape
+            assert np.array_equal(got, want)
 
     def test_pair_adds_channel_axis(self, idx_files):
         ip, lp, images, labels = idx_files
         x, y = load_idx_pair(ip, lp)
-        assert x.shape == (10, 5, 7, 1)
+        assert x.shape == (10, 5, 7, 1) and x.dtype == np.uint8 and x.flags.writeable
+        assert y.dtype == np.int64
         assert np.array_equal(x[..., 0], images)
         assert np.array_equal(y, labels)
 
@@ -53,7 +53,7 @@ class TestIdx:
         ip, _, images, _ = idx_files
         gz = tmp_path / "imgs.gz"
         gz.write_bytes(gzip.compress(ip.read_bytes()))
-        assert np.array_equal(load_idx_images(gz), images)
+        assert np.array_equal(load_idx(gz), images)
 
     @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
     def test_damaged_gzip(self, tmp_path, idx_files, damage):
@@ -66,42 +66,44 @@ class TestIdx:
         gz = tmp_path / "imgs.gz"
         gz.write_bytes(bytes(packed))
         with pytest.raises(DataFormatError, match="imgs.gz"):
-            load_idx_images(gz)
+            load_idx(gz)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad"
         p.write_bytes(struct.pack(">IIII", 0xDEADBEEF, 1, 2, 2) + b"\x00" * 4)
         with pytest.raises(DataFormatError, match="magic"):
-            load_idx_images(p)
+            load_idx(p)
 
     def test_truncated_payload(self, tmp_path):
         p = tmp_path / "short"
         p.write_bytes(struct.pack(">IIII", 0x00000803, 2, 2, 2) + b"\x00" * 5)
         with pytest.raises(DataFormatError, match="expected"):
-            load_idx_images(p)
+            load_idx(p)
 
     def test_truncated_header(self, tmp_path):
         p = tmp_path / "stub"
-        p.write_bytes(b"\x00\x00")
-        with pytest.raises(DataFormatError):
-            load_idx_labels(p)
+        for stub, mention in ((b"\x00\x00", "magic"),
+                              (struct.pack(">II", 0x00000803, 2), "rank-3 IDX header")):
+            p.write_bytes(stub)
+            with pytest.raises(DataFormatError, match=mention):
+                load_idx(p)
 
-    def test_images_magic_rejected_as_labels(self, idx_files):
+    def test_images_refused_as_labels(self, idx_files):
         ip, _, _, _ = idx_files
-        with pytest.raises(DataFormatError, match="magic"):
-            load_idx_labels(ip)
+        with pytest.raises(DataFormatError, match="rank 3, expected rank 1"):
+            load_idx_pair(ip, ip)
 
     def test_count_mismatch_between_pair(self, tmp_path, rng):
         ip, lp = tmp_path / "i", tmp_path / "l"
-        write_idx_images(ip, rng.integers(0, 256, (4, 3, 3), dtype=np.uint8))
-        write_idx_labels(lp, np.zeros(5, dtype=np.int64))
+        write_idx(ip, rng.integers(0, 256, (4, 3, 3), dtype=np.uint8))
+        write_idx(lp, np.zeros(5, dtype=np.int64))
         with pytest.raises(DataFormatError, match="count"):
             load_idx_pair(ip, lp)
 
     def test_find_split_conventional_names(self, tmp_path, rng):
-        write_idx_images(tmp_path / "train-images-idx3-ubyte",
+        write_idx(tmp_path / "train-images-idx3-ubyte",
                          rng.integers(0, 256, (2, 3, 3), dtype=np.uint8))
-        write_idx_labels(tmp_path / "train-labels-idx1-ubyte",
+        write_idx(tmp_path / "train-labels-idx1-ubyte",
                          np.zeros(2, dtype=np.int64))
         img, lbl = find_idx_split(tmp_path, "train")
         assert img.name == "train-images-idx3-ubyte"

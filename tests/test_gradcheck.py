@@ -24,7 +24,8 @@ def test_blesses_a_correct_gradient():
                                {"x": x})
     assert result.passed
     assert result.coords == 6
-    assert "PASS" in result.line()
+    assert result.line() == (f"PASS  square                 max_rel_err="
+                             f"{result.max_rel_err:.3e} (tol 1.0e-04, 6 coords)")
 
 
 def _broken_square(x: Tensor) -> Tensor:
@@ -39,10 +40,11 @@ def _broken_square(x: Tensor) -> Tensor:
 def test_flags_a_wrong_gradient():
     x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     result = finite_diff_check("broken", lambda: ops.reduce_sum(_broken_square(x)),
-                               {"x": x})
+                               {"conv9.kernel": x})
     assert not result.passed
     assert result.max_rel_err > 0.1
-    assert "FAIL" in result.line()
+    assert result.line().startswith("FAIL")
+    assert result.line().endswith(", worst in conv9.kernel")
 
 
 def _nan_square(x: Tensor) -> Tensor:
@@ -55,11 +57,13 @@ def _nan_square(x: Tensor) -> Tensor:
 
 def test_flags_a_nan_gradient():
     x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    result = finite_diff_check("nan", lambda: ops.reduce_sum(_nan_square(x)), {"x": x})
+    result = finite_diff_check("nan", lambda: ops.reduce_sum(_nan_square(x)),
+                               {"head.nan_bias": x})
     assert not result.passed
     assert result.max_rel_err == np.inf
-    assert result.worst_source == "x"
-    assert "FAIL" in result.line()
+    assert result.worst_source == "head.nan_bias"
+    assert result.line().startswith("FAIL")
+    assert result.line().endswith(", worst in head.nan_bias")
 
 
 @pytest.mark.parametrize("kwargs,mention", [

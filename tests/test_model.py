@@ -146,8 +146,6 @@ class TestModel:
         out = model.forward(params, stats,
                             rng.standard_normal((2, 16, 16, 1)), training=True)
         assert np.allclose(out.probs.data.sum(-1), 1.0, atol=1e-6)
-        # raw activations stay exp-scaled, not renormalized
-        assert not np.allclose(out.activations.data.sum(-1), 1.0)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_original_routing_probs_finite_past_float32_exp_overflow(self, rng):
@@ -229,13 +227,15 @@ class TestModel:
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_uint8_batch_is_normalized_on_input(self, rng, dtype):
-        # forward is where file-backed pixels become floats: a uint8 batch
-        # gives the bits of the same batch normalized beforehand
+        # forward is where pixels become input: a uint8 batch gives the bits
+        # of the same batch normalized beforehand, and a float64 Tensor of
+        # those pixels is cast to the config's dtype like an array
         model, _ = toy_model(dtype=dtype)
         params, stats = model.init_params(0)
         x = rng.integers(0, 256, (3, 16, 16, 1), dtype=np.uint8)
-        got = model.forward(params, stats, x)
         want = model.forward(params, stats, normalize_images(x))
-        assert got.probs.dtype == np.dtype(dtype)
-        for a, b in ((got.probs, want.probs), (got.poses, want.poses)):
-            assert a.data.tobytes() == b.data.tobytes()
+        for batch in (x, Tensor(normalize_images(x).astype(np.float64))):
+            got = model.forward(params, stats, batch)
+            assert got.probs.dtype == np.dtype(dtype)
+            for a, b in ((got.probs, want.probs), (got.poses, want.poses)):
+                assert a.data.tobytes() == b.data.tobytes()
