@@ -19,7 +19,10 @@ Block width plans, given a stage width f:
 
 Every block carries a projection skip (1x1 conv + BN) regardless of shape,
 and optionally a squeeze-excite gate on the residual branch before the add.
-Each batch norm follows a conv, and both run as one ``conv_bn``.
+Each batch norm follows a conv, and both run as one ``conv_bn``, which also
+takes the ReLU and the block's residual add that follow it.  In eval each
+such chain, and each stem conv with its bias and ReLU, is one ``conv2d``:
+one pass over its activations.
 """
 
 from __future__ import annotations
@@ -62,21 +65,28 @@ def se_rows(name: str, c: int) -> list:
 
 
 def conv_bn(params: dict, stats: dict, conv: str, bn: str, x, stride: int,
-            training: bool):
-    """Same-padded conv ``conv`` followed by batch norm ``bn``.
+            training: bool, relu: bool = False, residual=None):
+    """Same-padded conv ``conv``, batch norm ``bn``, then ``+ residual`` and
+    a ReLU if asked.
 
-    Training runs the conv, then ``ops.batch_norm`` on batch statistics.
-    Eval folds the running statistics into the conv (Jacob et al. 2018,
-    section 3.2): ``conv2d(x, w * scale) + shift``, one pass over the
-    activations instead of two.  This fold is the only eval batch norm.
-    It is made of tape ops, so eval still differentiates under a tape.
+    Training runs the conv, then ``ops.batch_norm`` on batch statistics,
+    then ``relu(add(residual, ·))`` as separate ops.  Eval folds the running
+    statistics into the conv (Jacob et al. 2018, section 3.2) and runs the
+    chain as one ``conv2d(x, w * scale, bias=shift, residual, relu)``: one
+    pass over the activations, with the bits of the separate ops.  This fold
+    is the only eval batch norm.  It is made of tape ops, so eval still
+    differentiates under a tape.
     """
     w = params[conv + ".w"]
     gamma, beta = params[bn + ".gamma"], params[bn + ".beta"]
-    if training:
-        return ops.batch_norm(ops.conv2d(x, w, stride=stride), gamma, beta, stats[bn])
-    scale, shift = ops.fold_batch_norm(gamma, beta, stats[bn])
-    return ops.conv2d(x, ops.multiply(w, scale), stride=stride, bias=shift)
+    if not training:
+        scale, shift = ops.fold_batch_norm(gamma, beta, stats[bn])
+        return ops.conv2d(x, ops.multiply(w, scale), stride=stride, bias=shift,
+                          residual=residual, relu=relu)
+    y = ops.batch_norm(ops.conv2d(x, w, stride=stride), gamma, beta, stats[bn])
+    if residual is not None:
+        y = ops.add(residual, y)
+    return ops.relu(y) if relu else y
 
 
 class Stem:
@@ -98,10 +108,15 @@ class Stem:
                 for row in conv_rows(f"{self.prefix}.conv{i}", 3, 3, cin, w, bias=True)]
 
     def __call__(self, params: dict, stats: dict, x, training: bool):
-        """``stats`` and ``training`` are unused: the stem has no batch norm."""
+        """Each conv, its bias and its ReLU; ``stats`` is unused, as the stem
+        has no batch norm.  Eval runs them as one ``conv2d`` epilogue."""
         for i in range(len(self.widths)):
-            name = f"{self.prefix}.conv{i}"
-            x = ops.relu(ops.add(ops.conv2d(x, params[name + ".w"]), params[name + ".b"]))
+            w, b = params[f"{self.prefix}.conv{i}.w"], params[f"{self.prefix}.conv{i}.b"]
+            if training:
+                # separate ops until the pinned tape records change: 2 fewer a conv
+                x = ops.relu(ops.add(ops.conv2d(x, w), b))
+            else:
+                x = ops.conv2d(x, w, bias=b, relu=True)
         return x
 
 
@@ -128,15 +143,15 @@ class Bottleneck:
 
     def __call__(self, params: dict, stats: dict, x, training: bool):
         p = self.prefix
-        y = ops.relu(conv_bn(params, stats, f"{p}.conv1", f"{p}.bn1", x, 1, training))
-        y = ops.relu(conv_bn(params, stats, f"{p}.conv2", f"{p}.bn2", y, self.stride,
-                             training))
+        y = conv_bn(params, stats, f"{p}.conv1", f"{p}.bn1", x, 1, training, relu=True)
+        y = conv_bn(params, stats, f"{p}.conv2", f"{p}.bn2", y, self.stride, training,
+                    relu=True)
         y = conv_bn(params, stats, f"{p}.conv3", f"{p}.bn3", y, 1, training)
         if self.use_se:
             y = se_block(y, params[f"{p}.se.w1"], params[f"{p}.se.b1"],
                          params[f"{p}.se.w2"], params[f"{p}.se.b2"])
-        skip = conv_bn(params, stats, f"{p}.proj", f"{p}.projbn", x, self.stride, training)
-        return ops.relu(ops.add(y, skip))
+        return conv_bn(params, stats, f"{p}.proj", f"{p}.projbn", x, self.stride, training,
+                       relu=True, residual=y)
 
 
 def parameter_count(params: dict) -> int:

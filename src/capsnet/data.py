@@ -92,27 +92,53 @@ def find_idx_split(directory: PathLike, split: str = "train") -> tuple[Path, Pat
 CIFAR10_RECORD = 3073  # 1 label byte + 3 * 1024 channel-planar pixels
 
 
-def load_cifar10_batch(path: PathLike) -> tuple[np.ndarray, np.ndarray]:
-    """Read one CIFAR-10 binary batch as ([N,32,32,3] uint8, [N] int64)."""
+def _cifar10_records(path: PathLike) -> np.ndarray:
+    """The [N, 3073] uint8 records of one CIFAR-10 binary batch, with its
+    size and labels checked."""
     raw = _read_bytes(path)
     if len(raw) == 0 or len(raw) % CIFAR10_RECORD:
         raise DataFormatError(
             f"{path}: size {len(raw)} is not a multiple of the {CIFAR10_RECORD}-byte record")
     records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR10_RECORD)
-    labels = records[:, 0].astype(np.int64)
-    if labels.max(initial=0) > 9:
-        raise DataFormatError(f"{path}: label {labels.max()} outside 0..9")
-    images = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1).copy()
-    return images, labels
+    if records[:, 0].max(initial=0) > 9:
+        raise DataFormatError(f"{path}: label {records[:, 0].max()} outside 0..9")
+    return records
+
+
+def _pixels(records: np.ndarray) -> np.ndarray:
+    """The [N,32,32,3] view of the records' channel-planar pixels."""
+    return records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
+
+
+def load_cifar10_batch(path: PathLike) -> tuple[np.ndarray, np.ndarray]:
+    """Read one CIFAR-10 binary batch as ([N,32,32,3] uint8, [N] int64)."""
+    records = _cifar10_records(path)
+    return _pixels(records).copy(), records[:, 0].astype(np.int64)
 
 
 def load_cifar10_split(directory: PathLike, split: str = "train") -> tuple[np.ndarray, np.ndarray]:
-    """Load the five training batches, concatenated, or the test batch."""
+    """Load the five training batches, concatenated, or the test batch.
+
+    The training batches are read twice, one at a time: once to check them
+    and count their records, then each straight into the one result array.
+    So the load holds its result and one batch's bytes."""
     directory = Path(directory)
     if split != "train":
         return load_cifar10_batch(directory / "test_batch")
-    parts = [load_cifar10_batch(directory / f"data_batch_{i}") for i in range(1, 6)]
-    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+    paths = [directory / f"data_batch_{i}" for i in range(1, 6)]
+    counts = [len(_cifar10_records(path)) for path in paths]
+    images = np.empty((sum(counts), 32, 32, 3), dtype=np.uint8)
+    labels = np.empty(sum(counts), dtype=np.int64)
+    start = 0
+    for path, count in zip(paths, counts):
+        records = _cifar10_records(path)
+        if len(records) != count:
+            raise DataFormatError(f"{path}: changed while it was loaded")
+        images[start:start + count] = _pixels(records)
+        labels[start:start + count] = records[:, 0]
+        start += count
+        del records  # before the next batch is read
+    return images, labels
 
 
 def normalize_images(images: np.ndarray) -> np.ndarray:

@@ -155,8 +155,9 @@ def toy_model_config() -> ModelConfig:
 
 
 # The op rungs, in ladder order: (name, draw, forward).  ``draw(rng)`` returns
-# the rung's inputs by keyword, sources first (requires_grad tensors), then
-# any constants; ``forward(**inputs)`` returns one output tensor or a tuple.
+# the rung's inputs by keyword: the requires_grad tensors are its sources,
+# anything else a constant; ``forward(**inputs)`` returns one output tensor
+# or a tuple.
 RUNGS = (
     ("conv2d", lambda r: dict(x=_t(r, 2, 5, 5, 3), w=_t(r, 3, 3, 3, 4, scale=0.5)),
      lambda x, w: ops.conv2d(x, w, stride=2)),
@@ -182,12 +183,17 @@ RUNGS = (
      cross_entropy_loss),
     ("conv2d_1x1", lambda r: dict(x=_t(r, 2, 5, 5, 3), w=_t(r, 1, 1, 3, 4, scale=0.5)),
      lambda x, w: ops.conv2d(x, w, stride=2)),
-    # An eval conv_bn: a 3x3 conv of the folded kernel, the folded shift as
-    # its bias.
-    ("conv2d_bias", lambda r: {"x": _t(r, 2, 4, 4, 2), "conv.w": _t(r, 3, 3, 2, 3, scale=0.5),
-                               "bn.gamma": _t_uniform(r, 0.5, 1.5, 3),
-                               "bn.beta": _t(r, 3, scale=0.2), "stats": _bn_stats(r, 3)},
-     lambda x, stats, **params: conv_bn(params, stats, "conv", "bn", x, 1, training=False)),
+    # An eval conv_bn as a block's projection runs it: a stride-2 3x3 conv
+    # of the folded kernel whose epilogue adds the folded shift and the
+    # residual, then applies the ReLU.
+    ("conv2d_epilogue", lambda r: {"x": _t(r, 2, 4, 4, 2),
+                                   "conv.w": _t(r, 3, 3, 2, 3, scale=0.5),
+                                   "bn.gamma": _t_uniform(r, 0.5, 1.5, 3),
+                                   "bn.beta": _t(r, 3, scale=0.2), "stats": _bn_stats(r, 3),
+                                   "residual": _t(r, 2, 2, 2, 3)},
+     lambda x, stats, residual, **params: conv_bn(params, stats, "conv", "bn", x, 2,
+                                                  training=False, relu=True,
+                                                  residual=residual)),
     ("capsule_votes", lambda r: dict(w=_t(r, 3, 4, 2, 3), u=_t(r, 2, 4, 2)), ops.capsule_votes),
 )
 

@@ -8,10 +8,12 @@ Every vjp keeps the ownership rule in ``GradientTape``'s docstring.  Outputs
 keep the dtype of their inputs (float64 for verification paths, float32 for
 training paths).
 
-Each op has one form: conv2d pads "same" and runs every pass as one
-streamed im2col matmul, softmax runs along the last axis and batch_norm is
-the training op; eval batch norm is ``fold_batch_norm``, which
-``backbone.conv_bn`` folds into the conv before it.  ``reduce_sum``,
+Each op has one form: conv2d pads "same", runs every pass as one
+streamed im2col matmul and applies its optional bias, residual and ReLU to
+each run of output rows while they are in cache; softmax runs along the
+last axis and batch_norm is the training op; eval batch norm is
+``fold_batch_norm``, which ``backbone.conv_bn`` folds into the conv before
+it.  ``reduce_sum``,
 ``reduce_mean`` and the gradients of broadcast operands and of the conv bias
 sum through ``_sum``, which runs a large sum over leading or middle axes
 (batch norm's per-channel statistics, the SE squeeze, the routing sums) as
@@ -376,10 +378,13 @@ def _im2col(xs: np.ndarray, kh: int, kw: int, stride: int, pads) -> np.ndarray:
     return windows.reshape(-1, kh * kw * c)
 
 
-def _correlate(x: np.ndarray, w: np.ndarray, stride: int, pads, bias=None) -> np.ndarray:
+def _correlate(x: np.ndarray, w: np.ndarray, stride: int, pads, bias=None,
+               residual=None, relu: bool = False) -> np.ndarray:
     """Cross-correlation of an [N,H,W,C] array, padded by ``pads``, with a
-    [kh,kw,C,F] kernel at ``stride``, plus an optional [F] ``bias``: each
-    run's window matrix times the kernel matrix."""
+    [kh,kw,C,F] kernel at ``stride``: each run's window matrix times the
+    kernel matrix.  The epilogue then runs on that run's rows while they are
+    in cache: ``+= bias`` ([F]), ``+= residual`` (the run's rows of an
+    output-shaped array), then ``max(·, 0)`` if ``relu``."""
     n, h, wd, _ = x.shape
     kh, kw, c, f = w.shape
     ho = (h + pads[0] + pads[1] - kh) // stride + 1
@@ -387,12 +392,17 @@ def _correlate(x: np.ndarray, w: np.ndarray, stride: int, pads, bias=None) -> np
     rows, wmat = ho * wo, w.reshape(kh * kw * c, f)
     out = np.empty((n, ho, wo, f), dtype=np.result_type(x.dtype, w.dtype))
     flat = out.reshape(n * rows, f)
+    res = None if residual is None else residual.reshape(n * rows, f)
     run = max(1, _IM2COL_BUDGET // (rows * wmat.shape[0] * x.itemsize))
     for s in range(0, n, run):
         dst = flat[s * rows:(s + run) * rows]
         np.matmul(_im2col(x[s:s + run], kh, kw, stride, pads), wmat, out=dst)
         if bias is not None:
             dst += bias
+        if res is not None:
+            dst += res[s * rows:(s + run) * rows]
+        if relu:
+            np.maximum(dst, 0, out=dst)
     return out
 
 
@@ -405,9 +415,19 @@ def _phase(r: int, pad: int, k: int, size: int, size_out: int, stride: int):
     return t, len(range(t, k, stride)) - 1 - q, len(range(r, size, stride)) + q - size_out
 
 
-def conv2d(x, w, stride: int = 1, bias=None) -> Tensor:
+def conv2d(x, w, stride: int = 1, bias=None, residual=None, relu: bool = False) -> Tensor:
     """Same-padded 2D cross-correlation of an [N,H,W,C] batch with a
-    [kh,kw,C,F] kernel, plus an optional per-channel [F] ``bias``.
+    [kh,kw,C,F] kernel, then an optional epilogue: a per-channel [F]
+    ``bias``, an output-shaped ``residual`` and a ReLU, in that order.
+
+    One op and one record, with the bits of
+    ``relu(add(residual, conv2d(x, w, bias=bias)))``: ``_correlate`` applies
+    each epilogue step to a run of output rows right after that run's
+    matmul (operator fusion; Chen et al. 2018, TVM, section 3), so the
+    activations see one pass instead of one per step.  Under a tape a ReLU
+    epilogue masks the cotangent once, ``gm = g·(out > 0)`` as in
+    ``maximum``'s vjp, and ``gm`` feeds the x, w and bias vjps and is the
+    residual's gradient; without a ReLU no vjp reads the output.
 
     Every pass, for every kernel size and stride, tracked or not, is
     ``_correlate``'s streamed im2col matmul, so it holds its result plus
@@ -419,6 +439,7 @@ def conv2d(x, w, stride: int = 1, bias=None) -> Tensor:
     """
     x, w = as_tensor(x), as_tensor(w)
     b = None if bias is None else as_tensor(bias)
+    res = None if residual is None else as_tensor(residual)
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be [N,H,W,C], got shape {x.shape}")
     if w.ndim != 4:
@@ -432,14 +453,18 @@ def conv2d(x, w, stride: int = 1, bias=None) -> Tensor:
     if b is not None and b.shape != (c_out,):
         raise ShapeError(f"conv2d bias must be [{c_out}], got shape {b.shape}")
     # "same": a side n maps to ceil(n / stride)
-    pad_h = max((-(-h // stride) - 1) * stride + kh - h, 0)
-    pad_w = max((-(-wd // stride) - 1) * stride + kw - wd, 0)
+    ho, wo = -(-h // stride), -(-wd // stride)
+    if res is not None and res.shape != (n, ho, wo, c_out):
+        raise ShapeError(
+            f"conv2d residual must be [{n},{ho},{wo},{c_out}], got shape {res.shape}")
+    pad_h = max((ho - 1) * stride + kh - h, 0)
+    pad_w = max((wo - 1) * stride + kw - wd, 0)
     pads = (pad_h // 2, pad_h - pad_h // 2, pad_w // 2, pad_w - pad_w // 2)
     xd, wdat = x.data, w.data
-    data = _correlate(xd, wdat, stride, pads, None if b is None else b.data)
+    data = _correlate(xd, wdat, stride, pads, None if b is None else b.data,
+                      None if res is None else res.data, relu)
     if _ACTIVE_TAPE.get() is None:
         return Tensor(data)
-    ho, wo = data.shape[1:3]
 
     def vjp_x(g):
         # Input pixels (r::s, q::s) meet only the taps w[ti::s, tj::s], none
@@ -471,6 +496,21 @@ def conv2d(x, w, stride: int = 1, bias=None) -> Tensor:
     pairs = [(x, vjp_x), (w, vjp_w)]
     if b is not None:
         pairs.append((b, lambda g: _sum(g, (0, 1, 2))))
+    if res is not None:
+        pairs.append((res, lambda g: g))
+    if relu:
+        # Every link of the record gets the same cotangent: mask it for the
+        # first, and hand the others that one masked array.
+        last = [None, None]
+
+        def masked(g):
+            if last[0] is not g:
+                gm = np.greater(data, 0, out=np.empty(data.shape, g.dtype))
+                gm *= g
+                last[:] = g, gm
+            return last[1]
+
+        pairs = [(t, lambda g, vjp=vjp: vjp(masked(g))) for t, vjp in pairs]
     return _make(data, pairs)
 
 

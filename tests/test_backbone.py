@@ -1,10 +1,12 @@
 """Backbone structure tests: width plans, shapes, strides, parameter counts,
 and the stem-and-blocks layer list a model builds."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from capsnet import CapsuleClassifier, ModelConfig, Tensor, ops
+from capsnet import CapsuleClassifier, GradientTape, ModelConfig, Tensor, ops
 from capsnet.backbone import Bottleneck, Stem, block_widths, conv_bn, parameter_count
 from capsnet.errors import ConfigError
 from capsnet.gradcheck import finite_diff_check
@@ -38,6 +40,27 @@ class TestStem:
         out = stem(params, stats, x, training=True)
         assert out.shape == (2, 9, 11, 32)
         assert np.all(out.data >= 0)  # ends in ReLU
+
+    def test_eval_and_training_give_the_same_bits(self, rng):
+        # eval runs each conv with its bias and ReLU as one op, training as three
+        stem = Stem("stem", 3, (4, 8))
+        params, stats = build(stem, dtype=np.float32)
+        for name in ("stem.conv0.b", "stem.conv1.b"):
+            params[name] = Tensor(rng.standard_normal(params[name].shape, dtype=np.float32),
+                                  requires_grad=True)
+        x = Tensor(rng.standard_normal((2, 9, 11, 3), dtype=np.float32))
+        g = Tensor(rng.standard_normal((2, 9, 11, 8), dtype=np.float32))
+        runs = []
+        for training in (False, True):
+            with GradientTape() as tape:
+                out = stem(params, stats, x, training=training)
+                loss = ops.reduce_sum(ops.multiply(out, g))
+            records = len(tape)
+            runs.append((records, out.data.tobytes(),
+                         [a.tobytes() for a in tape.gradient(loss, list(params.values()))]))
+        (fused_records, *fused), (records, *ref) = runs
+        assert (fused_records, records) == (2 + 2, 6 + 2)
+        assert fused == ref
 
     def test_param_names_and_count(self):
         stem = Stem("stem", 3, (4, 8))
@@ -182,6 +205,20 @@ class TestConvBn:
             {"x": x, **params}, tol=1e-6)
         assert result.coords == x.size + k * k * 6 + 6
         assert result.passed, result.line()
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_residual_and_relu_match_the_separate_ops(self, rng, training):
+        # training records relu(add(residual, bn)) op by op; eval fuses them
+        # into the conv with the same bits
+        params, stats, x = self._case(rng, 1)
+        r = Tensor(rng.standard_normal((3, 4, 3, 5)), requires_grad=True)
+        twin = {"bn": copy.deepcopy(stats["bn"])}
+        with GradientTape() as tape:
+            out = conv_bn(params, stats, "c", "bn", x, 2, training, relu=True, residual=r)
+        with GradientTape() as ref_tape:
+            ref = ops.relu(ops.add(r, conv_bn(params, twin, "c", "bn", x, 2, training)))
+        assert out.data.tobytes() == ref.data.tobytes()
+        assert len(tape) == len(ref_tape) - 2 * (not training)
 
     def test_training_is_conv_then_batch_norm(self, rng):
         params, stats, x = self._case(rng, 3)

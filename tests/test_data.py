@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from capsnet import data
 from capsnet.data import (load_cifar10_batch, load_cifar10_split, load_idx, load_idx_pair,
                           find_idx_split, make_blobs, normalize_images, take_subset)
 from capsnet.errors import ConfigError, DataFormatError
@@ -152,6 +153,50 @@ class TestCifar10:
                           rng.integers(0, 10, 3))
         assert load_cifar10_split(tmp_path, "train")[0].shape == (10, 32, 32, 3)
         assert load_cifar10_split(tmp_path, "test")[0].shape == (3, 32, 32, 3)
+
+    def test_split_is_the_batches_concatenated(self, tmp_path, rng):
+        # batches of unequal sizes, so each fills its own offset of the result
+        paths = [tmp_path / f"data_batch_{i}" for i in range(1, 6)]
+        for n, path in zip((3, 1, 4, 2, 5), paths):
+            write_cifar_batch(path, rng.integers(0, 256, (n, 32, 32, 3), dtype=np.uint8),
+                              rng.integers(0, 10, n))
+        x, y = load_cifar10_split(tmp_path, "train")
+        parts = [load_cifar10_batch(path) for path in paths]
+        want_x, want_y = np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+        assert x.dtype == want_x.dtype and x.shape == want_x.shape == (15, 32, 32, 3)
+        assert x.tobytes() == want_x.tobytes()
+        assert y.dtype == want_y.dtype and y.tobytes() == want_y.tobytes()
+
+    def test_split_checks_every_batch_as_a_batch_load_does(self, tmp_path, rng):
+        for i in range(1, 6):
+            write_cifar_batch(tmp_path / f"data_batch_{i}",
+                              rng.integers(0, 256, (2, 32, 32, 3), dtype=np.uint8),
+                              rng.integers(0, 10, 2))
+        bad = tmp_path / "data_batch_4"
+        for raw, mention in [(bytes([11]) + b"\x00" * 3072, "data_batch_4: label 11 outside"),
+                             (b"\x00" * 3072, "data_batch_4: size 3072 is not a multiple")]:
+            bad.write_bytes(raw)
+            with pytest.raises(DataFormatError, match=mention):
+                load_cifar10_split(tmp_path, "train")
+
+    def test_split_refuses_a_batch_that_changes_between_its_reads(self, tmp_path, rng,
+                                                                  monkeypatch):
+        for i in range(1, 6):
+            write_cifar_batch(tmp_path / f"data_batch_{i}",
+                              rng.integers(0, 256, (2, 32, 32, 3), dtype=np.uint8),
+                              rng.integers(0, 10, 2))
+        reads = []
+        read_bytes = data._read_bytes
+
+        def read_then_shrink(path):
+            reads.append(path)
+            raw = read_bytes(path)
+            if len(reads) == 5:  # the check pass is over: batch 3 loses a record
+                (tmp_path / "data_batch_3").write_bytes(read_bytes(tmp_path / "data_batch_3")[:3073])
+            return raw
+        monkeypatch.setattr(data, "_read_bytes", read_then_shrink)
+        with pytest.raises(DataFormatError, match="data_batch_3: changed while it was loaded"):
+            load_cifar10_split(tmp_path, "train")
 
     def test_missing_batch(self, tmp_path):
         with pytest.raises(DataFormatError, match="data_batch_1"):

@@ -1,6 +1,7 @@
 """Tensor engine and op-level tests: forward values against numpy, reverse
 mode against hand derivatives, and the recording semantics of the tape."""
 
+import itertools
 import threading
 import tracemalloc
 import warnings
@@ -790,6 +791,128 @@ class TestConv2d:
         finally:
             tracemalloc.stop()
         assert peak < 1.1 * (x.data.nbytes + out.data.nbytes + ops._IM2COL_BUDGET)
+
+
+EPILOGUES = [pytest.param(*flags, id="-".join(name for name, on in zip(
+                 ("bias", "residual", "relu"), flags) if on) or "none")
+             for flags in itertools.product((False, True), repeat=3)]
+
+
+class TestConv2dEpilogue:
+    """conv2d's fused bias, residual and ReLU, on a batch of 5 that
+    ``_correlate`` streams in runs of 2 samples, so each run adds its own
+    rows of the residual."""
+
+    N = 5
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Set the budget to 2 samples of a [5,6,5,3] input's windows for a
+        k x k kernel at ``stride``; returns the sample count of each window
+        matrix a forward pass builds."""
+        builds = []
+        im2col = ops._im2col
+        monkeypatch.setattr(ops, "_im2col", lambda xs, *a: builds.append(len(xs)) or im2col(xs, *a))
+
+        def set_budget(k, stride, itemsize):
+            rows = -(-6 // stride) * -(-5 // stride)
+            monkeypatch.setattr(ops, "_IM2COL_BUDGET", 2 * rows * k * k * 3 * itemsize)
+            return builds
+        return set_budget
+
+    def _inputs(self, rng, k, stride, dtype):
+        x = rng.standard_normal((self.N, 6, 5, 3)).astype(dtype)
+        w = (rng.standard_normal((k, k, 3, 4)) * 0.5).astype(dtype)
+        b = rng.standard_normal(4).astype(dtype)
+        r = rng.standard_normal((self.N, -(-6 // stride), -(-5 // stride), 4)).astype(dtype)
+        return x, w, b, r
+
+    @pytest.mark.parametrize("bias,residual,relu", EPILOGUES)
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_float64_oracle(self, rng, runs, k, stride, bias, residual, relu):
+        builds = runs(k, stride, 8)
+        x, w, b, r = self._inputs(rng, k, stride, np.float64)
+        out = ops.conv2d(Tensor(x), Tensor(w), stride, bias=Tensor(b) if bias else None,
+                         residual=Tensor(r) if residual else None, relu=relu)
+        assert builds == [2, 2, 1]
+        ref = conv2d_loop_reference(x, w, stride) + (b if bias else 0) + (r if residual else 0)
+        if relu:
+            ref = np.maximum(ref, 0)
+        assert np.max(np.abs(out.data - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("bias,residual,relu", EPILOGUES)
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_float32_bits_match_the_separate_ops(self, rng, runs, k, stride, bias, residual,
+                                                 relu):
+        runs(k, stride, 4)
+        x, w, b, r = self._inputs(rng, k, stride, np.float32)
+        g = rng.standard_normal(r.shape).astype(np.float32)
+
+        def run(fused):
+            tensors = [Tensor(a, requires_grad=True) for a in (x, w, b, r)]
+            tx, tw, tb, tr = tensors
+            bias_t, res_t = tb if bias else None, tr if residual else None
+            with GradientTape() as tape:
+                if fused:
+                    y = ops.conv2d(tx, tw, stride, bias=bias_t, residual=res_t, relu=relu)
+                else:
+                    y = ops.conv2d(tx, tw, stride, bias=bias_t)
+                    y = y if res_t is None else ops.add(res_t, y)
+                    y = ops.relu(y) if relu else y
+                loss = ops.reduce_sum(ops.multiply(y, Tensor(g)))
+            records = len(tape)
+            return y.data, tape.gradient(loss, tensors), records
+
+        (y, grads, records), (y_ref, grads_ref, _) = run(True), run(False)
+        assert records == 3  # conv2d, multiply, reduce_sum
+        assert y.dtype == np.float32 and y.tobytes() == y_ref.tobytes()
+        untaped = ops.conv2d(Tensor(x), Tensor(w), stride, bias=Tensor(b) if bias else None,
+                             residual=Tensor(r) if residual else None, relu=relu)
+        assert untaped.data.tobytes() == y.tobytes()
+        for got, want in zip(grads, grads_ref):
+            assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("relu", [False, True], ids=["no-relu", "relu"])
+    def test_only_a_relu_keeps_the_output_for_backward(self, rng, relu):
+        x = Tensor(rng.standard_normal((2, 4, 4, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 3, 3, 2)), requires_grad=True)
+        r = Tensor(rng.standard_normal((2, 4, 4, 2)), requires_grad=True)
+        with GradientTape() as tape:
+            y = ops.conv2d(x, w, bias=Tensor(np.ones(2)), residual=r, relu=relu)
+            out, positive = weakref.ref(y.data), y.data > 0
+            loss = ops.reduce_sum(y)
+        del y
+        assert (out() is not None) == relu
+        (gr,) = tape.gradient(loss, [r])
+        assert np.array_equal(gr, positive if relu else np.ones(r.shape))
+
+    def test_residual_shape_error(self, rng):
+        x = Tensor(rng.standard_normal((2, 5, 5, 2)))
+        w = Tensor(rng.standard_normal((1, 1, 2, 4)))
+        for shape in [(2, 5, 5, 4), (2, 3, 3, 3), (1, 3, 3, 4), (3, 3, 4)]:
+            with pytest.raises(ShapeError, match="residual"):
+                ops.conv2d(x, w, stride=2, residual=Tensor(np.zeros(shape)))
+
+    def test_untaped_epilogue_allocates_only_its_result(self, rng):
+        # A 1x1 stride-1 window matrix is a view of the input, and each
+        # epilogue step runs in place, so the margin holds only the bias
+        # add's fixed broadcast buffer (about 33 kB).  The separate ops
+        # would make three full-size arrays.
+        x = Tensor(rng.standard_normal((4, 32, 32, 64), dtype=np.float32))
+        w = Tensor(rng.standard_normal((1, 1, 64, 64), dtype=np.float32))
+        b = Tensor(rng.standard_normal(64, dtype=np.float32))
+        r = Tensor(rng.standard_normal((4, 32, 32, 64), dtype=np.float32))
+        tracemalloc.start()
+        try:
+            out = ops.conv2d(x, w, bias=b, residual=r, relu=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * out.data.nbytes
+        ref = ops.relu(ops.add(r, ops.conv2d(x, w, bias=b)))
+        assert out.data.tobytes() == ref.data.tobytes()
 
 
 class TestPoolAndBatchNorm:
