@@ -9,9 +9,7 @@ recomputed.
 
 Each differentiable function has a ``*_reference`` twin: a straight-line
 numpy implementation kept deliberately independent of the tensor engine so
-the two can be checked against each other.  The twins take their sigmoid
-from ``scipy.special.expit``, imported on the first call, so importing the
-package does not load scipy.
+the two can be checked against each other.
 """
 
 from __future__ import annotations
@@ -48,10 +46,12 @@ def _excite(pooled, w1, b1, w2, b2) -> Tensor:
 
 
 def _excite_reference(pooled: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
-    """Straight-line numpy oracle for :func:`_excite`, in float64."""
-    from scipy.special import expit
+    """Straight-line numpy oracle for :func:`_excite`, in float64.  Its
+    logistic is exp(-log(1 + exp(-z))), which cannot overflow and is not
+    ``ops.sigmoid``'s formula."""
     hidden = np.maximum(pooled @ np.asarray(w1, np.float64) + np.asarray(b1, np.float64), 0.0)
-    return expit(hidden @ np.asarray(w2, np.float64) + np.asarray(b2, np.float64))
+    z = hidden @ np.asarray(w2, np.float64) + np.asarray(b2, np.float64)
+    return np.exp(-np.logaddexp(0.0, -z))
 
 
 def se_block(x, w1, b1, w2, b2) -> Tensor:

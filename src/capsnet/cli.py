@@ -68,7 +68,7 @@ def _load_split(args, split: str) -> tuple[np.ndarray, np.ndarray]:
         x, y = datasets.load_idx_pair(*datasets.find_idx_split(args.data_dir, split))
     else:
         x, y = datasets.load_cifar10_split(args.data_dir, split)
-    if n and n < x.shape[0]:
+    if n and n != x.shape[0]:  # an oversized n reaches take_subset's check
         return datasets.take_subset(x, y, n, seed=args.data_seed)
     return x, y
 

@@ -62,8 +62,9 @@ class ModelConfig:
     """Static architecture description.
 
     The stage widths are (s/2, s, 2s) for stem output width s, the primary
-    capsule conv keeps the backbone output width, and every SE gate uses
-    ``default_se_ratio`` of its width.
+    capsule conv keeps the backbone output width, every SE gate uses
+    ``default_se_ratio`` of its width, and every capsule is
+    ``model.CAPSULE_DIM`` (16) wide.
     """
 
     input_shape: tuple[int, int, int] = (32, 32, 3)   # (H, W, C)
@@ -74,8 +75,6 @@ class ModelConfig:
     use_se: bool = True
     use_attention: bool = True
     routing: str = "modified"
-    primary_caps_dim: int = 16
-    capsule_dim: int = 16
     dtype: str = "float32"
 
     def __post_init__(self):
@@ -93,8 +92,6 @@ class ModelConfig:
                               f"got {self.block_variant!r}")
         if self.routing not in ROUTING_VARIANTS:
             raise ConfigError(f"routing must be one of {ROUTING_VARIANTS}, got {self.routing!r}")
-        if self.primary_caps_dim < 1 or self.capsule_dim < 1:
-            raise ConfigError("capsule dimensions must be >= 1")
         if self.dtype not in DTYPES:
             raise ConfigError(f"dtype must be one of {DTYPES}, got {self.dtype!r}")
 

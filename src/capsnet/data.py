@@ -105,27 +105,15 @@ def _cifar10_records(path: PathLike) -> np.ndarray:
     return records
 
 
-def _pixels(records: np.ndarray) -> np.ndarray:
-    """The [N,32,32,3] view of the records' channel-planar pixels."""
-    return records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
-
-
-def load_cifar10_batch(path: PathLike) -> tuple[np.ndarray, np.ndarray]:
-    """Read one CIFAR-10 binary batch as ([N,32,32,3] uint8, [N] int64)."""
-    records = _cifar10_records(path)
-    return _pixels(records).copy(), records[:, 0].astype(np.int64)
-
-
 def load_cifar10_split(directory: PathLike, split: str = "train") -> tuple[np.ndarray, np.ndarray]:
-    """Load the five training batches, concatenated, or the test batch.
+    """Load the five training batches, concatenated, or the test batch, as
+    ([N,32,32,3] uint8, [N] int64).
 
-    The training batches are read twice, one at a time: once to check them
-    and count their records, then each straight into the one result array.
-    So the load holds its result and one batch's bytes."""
-    directory = Path(directory)
-    if split != "train":
-        return load_cifar10_batch(directory / "test_batch")
-    paths = [directory / f"data_batch_{i}" for i in range(1, 6)]
+    Each batch is read twice, one at a time: once to check it and count its
+    records, then straight into the one result array.  So the load holds
+    its result and one batch's bytes."""
+    names = [f"data_batch_{i}" for i in range(1, 6)] if split == "train" else ["test_batch"]
+    paths = [Path(directory) / name for name in names]
     counts = [len(_cifar10_records(path)) for path in paths]
     images = np.empty((sum(counts), 32, 32, 3), dtype=np.uint8)
     labels = np.empty(sum(counts), dtype=np.int64)
@@ -134,7 +122,7 @@ def load_cifar10_split(directory: PathLike, split: str = "train") -> tuple[np.nd
         records = _cifar10_records(path)
         if len(records) != count:
             raise DataFormatError(f"{path}: changed while it was loaded")
-        images[start:start + count] = _pixels(records)
+        images[start:start + count] = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
         labels[start:start + count] = records[:, 0]
         start += count
         del records  # before the next batch is read

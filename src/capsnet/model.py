@@ -5,10 +5,11 @@ bottleneck block, in order; only the first block of stages 2 and 3
 strides.  The forward pass, the parameter table, the
 primary-grid arithmetic and the gradient check's links all walk this one
 list.  Its output is projected by one stride-2 conv + BN into a grid of
-primary capsules (channel groups of ``primary_caps_dim``), squashed, then
-linearly voted into per-class predictions that a single routing pass turns
-into class poses and activations.  Optionally a class-wise attention gate
-reweights poses and agreements before activations are formed.
+primary capsules (channel groups of ``CAPSULE_DIM`` = 16, the width of
+every capsule), squashed, then linearly voted into per-class predictions
+that a single routing pass turns into class poses and activations.
+Optionally a class-wise attention gate reweights poses and agreements
+before activations are formed.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .tensor import Tensor
 __all__ = ["CapsuleClassifier", "ModelOutput"]
 
 PRIMARY_STRIDE = 2
+CAPSULE_DIM = 16
 
 
 def init_from_table(rows, seed: int, dtype) -> tuple[dict, dict]:
@@ -73,16 +75,16 @@ class CapsuleClassifier:
                     2 if s > 1 and i == 0 else 1, variant=config.block_variant,
                     use_se=config.use_se))
         self.primary_channels = self.layers[-1].out_channels
-        if self.primary_channels % config.primary_caps_dim:
+        if self.primary_channels % CAPSULE_DIM:
             raise ConfigError(
                 f"primary capsule channels {self.primary_channels} must be divisible by "
-                f"capsule dimension {config.primary_caps_dim}")
+                f"capsule dimension {CAPSULE_DIM}")
         # Same padding: each stride s maps a side n to ceil(n / s).
         ph, pw = h, w
         for stride in [layer.stride for layer in self.layers] + [PRIMARY_STRIDE]:
             ph, pw = -(-ph // stride), -(-pw // stride)
         self.primary_grid = (ph, pw)
-        self.num_primary = ph * pw * (self.primary_channels // config.primary_caps_dim)
+        self.num_primary = ph * pw * (self.primary_channels // CAPSULE_DIM)
         if self.num_primary < 2:
             raise ConfigError(
                 f"model yields {self.num_primary} primary capsule(s); routing needs >= 2 "
@@ -98,8 +100,8 @@ class CapsuleClassifier:
         cfg = self.config
         # Each vote mixes one k_in-dim capsule, so fan_in is k_in, not the
         # full leading extent product.
-        caps = ("caps.w", (cfg.num_classes, self.num_primary, cfg.primary_caps_dim,
-                           cfg.capsule_dim), cfg.primary_caps_dim)
+        caps = ("caps.w", (cfg.num_classes, self.num_primary, CAPSULE_DIM, CAPSULE_DIM),
+                CAPSULE_DIM)
         c = self.primary_channels  # the primary conv keeps the backbone's width
         return ([row for layer in self.layers for row in layer.table()]
                 + conv_rows("primary.conv", 3, 3, c, c)
@@ -139,7 +141,7 @@ class CapsuleClassifier:
         cfg = self.config
         y = conv_bn(params, stats, "primary.conv", "primary.bn", feats, PRIMARY_STRIDE, training)
         batch = feats.shape[0]
-        caps = ops.reshape(y, (batch, self.num_primary, cfg.primary_caps_dim))
+        caps = ops.reshape(y, (batch, self.num_primary, CAPSULE_DIM))
         u = squash(caps)
         u_hat = capsule_predictions(u, params["caps.w"])
         routed = route(u_hat, variant=cfg.routing)

@@ -1,11 +1,14 @@
 """SE gating tests: bounds, oracle agreement, and the capsule variant."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from capsnet import Tensor
-from capsnet.attention import (attention_capsules, attention_capsules_reference,
-                               default_se_ratio, se_block, se_block_reference)
+from capsnet.attention import (_excite_reference, attention_capsules,
+                               attention_capsules_reference, default_se_ratio, se_block,
+                               se_block_reference)
 from capsnet.errors import ConfigError, ShapeError
 
 
@@ -59,6 +62,17 @@ class TestSEBlock:
             se_block(Tensor(np.ones((2, 4))), w1, b1, w2, b2)
         with pytest.raises(ShapeError):
             se_block(Tensor(np.ones((2, 3, 3, 6))), w1, b1, w2, b2)
+
+
+def test_oracle_logistic_matches_expit_without_warnings():
+    from scipy.special import expit  # a test-only dependency
+    z = np.array([s * v for v in (0.0, 1.0, 40.0, 710.0, 800.0) for s in (1.0, -1.0)])
+    # zero features and weights: the gate is the logistic of b2 alone
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gate = _excite_reference(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros(1),
+                                 np.zeros((1, z.size)), z)
+    assert np.max(np.abs(gate[0] - expit(z))) <= 1e-15
 
 
 class TestAttentionCapsules:

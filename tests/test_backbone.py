@@ -129,7 +129,7 @@ def run_layers(layers, params, stats, x, training):
 class TestStageAndBackbone:
     def test_stage_strides_only_first_block(self):
         layers = model_of(input_shape=(16, 16, 3), stem_widths=(8,),
-                          stage_depths=(2, 3, 2), primary_caps_dim=4).layers
+                          stage_depths=(2, 3, 2)).layers
         assert [layer.stride for layer in layers] == [1, 1, 1, 2, 1, 1, 2, 1]
         assert [layer.prefix for layer in layers] == [
             "stem", "stage1.block0", "stage1.block1",
@@ -152,8 +152,8 @@ class TestStageAndBackbone:
                 model_of(stem_widths=(8,), stage_depths=depths)
 
     def test_eval_mode_uses_running_stats(self, rng):
-        model = model_of(input_shape=(8, 8, 1), stem_widths=(4, 8),
-                         stage_depths=(1, 1, 1), primary_caps_dim=4)
+        model = model_of(input_shape=(8, 8, 1), stem_widths=(4, 16),
+                         stage_depths=(1, 1, 1))
         params, stats = model.init_params(0)
         x = Tensor(rng.standard_normal((4, 8, 8, 1)))
         run_layers(model.layers, params, stats, x, training=True)   # populate running stats

@@ -132,9 +132,10 @@ class TestRoundTrip:
 
 
 class TestRemovedConfigKeys:
-    """Keys that stage_widths, primary_caps_channels, se_ratio and wide_plan
-    left behind in ModelConfig, and shuffle in TrainConfig, are unknown keys
-    whatever value they hold."""
+    """Keys that stage_widths, primary_caps_channels, se_ratio, wide_plan and
+    the two capsule widths (now the constant ``model.CAPSULE_DIM``) left
+    behind in ModelConfig, and shuffle in TrainConfig, are unknown keys
+    whatever value they hold; the error names the key."""
 
     @pytest.fixture
     def with_config(self, rewrite_header):
@@ -145,13 +146,16 @@ class TestRemovedConfigKeys:
     @pytest.mark.parametrize("extra", [dict(wide_plan="half_double"),
                                        dict(stage_widths=[8, 8, 8]),
                                        dict(primary_caps_channels=16),
-                                       dict(se_ratio=2)],
+                                       dict(se_ratio=2),
+                                       dict(capsule_dim=16),
+                                       dict(primary_caps_dim=16)],
                              ids=["wide_plan", "stage_widths", "primary_caps_channels",
-                                  "se_ratio"])
+                                  "se_ratio", "capsule_dim", "primary_caps_dim"])
     def test_other_values_rejected(self, trained, with_config, extra):
         *_, path, _ = trained
         with_config(path, **extra)
-        with pytest.raises(ConfigError, match="unknown model config keys"):
+        key, = extra
+        with pytest.raises(ConfigError, match=rf"unknown model config keys: \['{key}'\]"):
             load_checkpoint(path)
 
     def test_shuffle_off_rejected(self, trained, with_config):
@@ -241,8 +245,8 @@ class TestCorruption:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("section,field,value", [
-        ("model_config", "capsule_dim", 4.5),
-        ("model_config", "primary_caps_dim", 8.0),
+        ("model_config", "num_classes", 4.5),
+        ("model_config", "num_classes", 3.0),
         ("model_config", "use_se", "false"),
         ("model_config", "input_shape", [12, 12.5, 1]),
         ("model_config", "stem_widths", [4, 8, 8.5, 16]),

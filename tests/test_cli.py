@@ -121,6 +121,26 @@ def test_eval_rejects_a_removed_width_plan(tmp_path, capsys, checkpoint, rewrite
     assert "wide_plan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["capsule_dim", "primary_caps_dim"])
+def test_removed_capsule_widths_are_clean_errors(tmp_path, capsys, checkpoint, rewrite_header,
+                                                 key):
+    """Every capsule is 16 wide: a checkpoint header or a --model-config
+    file that still sets either width, even to 16, is refused by name."""
+    bad = tmp_path / "checkpoint"
+    shutil.copy(checkpoint, bad)
+    rewrite_header(bad, lambda h: h["model_config"].update({key: 16}))
+    cfg_path = tmp_path / "model.json"
+    cfg_path.write_text(json.dumps({key: 16}))
+    for argv in (["eval", *FAST_DATA, "--checkpoint", str(bad)],
+                 ["train", *FAST_DATA, *FAST_TRAIN, "--quiet", "--model-config", str(cfg_path),
+                  "--out", str(tmp_path / "run")]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"unknown model config keys: ['{key}']" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_eval_rejects_a_format_1_directory(tmp_path, capsys):
     old = tmp_path / "checkpoint"
     old.mkdir()
@@ -217,18 +237,24 @@ def write_cifar_dir(directory, rng, records=4):
     return directory
 
 
+def write_file_dataset(data, dataset, rng):
+    """A ``dataset`` ("idx" or "cifar10") directory at ``data``: IDX splits
+    of 6 images each, or CIFAR-10 splits of 20 and 10."""
+    if dataset == "cifar10":
+        write_cifar_dir(data, rng)
+        return
+    data.mkdir()
+    for prefix in ("train", "t10k"):
+        write_idx(data / f"{prefix}-images-idx3-ubyte",
+                  rng.integers(0, 256, (6, 8, 8), dtype=np.uint8))
+        write_idx(data / f"{prefix}-labels-idx1-ubyte", np.arange(6) % 3)
+
+
 @pytest.mark.parametrize("dataset", ["idx", "cifar10"])
 @pytest.mark.parametrize("samples", ["0", "3"], ids=["whole", "subset"])
 def test_file_splits_stay_uint8(tmp_path, rng, dataset, samples):
     data = tmp_path / "data"
-    if dataset == "cifar10":
-        write_cifar_dir(data, rng)
-    else:
-        data.mkdir()
-        for prefix in ("train", "t10k"):
-            write_idx(data / f"{prefix}-images-idx3-ubyte",
-                             rng.integers(0, 256, (6, 8, 8), dtype=np.uint8))
-            write_idx(data / f"{prefix}-labels-idx1-ubyte", np.arange(6) % 3)
+    write_file_dataset(data, dataset, rng)
     args = build_parser().parse_args(["eval", "--dataset", dataset, "--data-dir", str(data),
                                       "--samples", samples, "--test-samples", samples,
                                       "--checkpoint", "unused"])
@@ -236,6 +262,26 @@ def test_file_splits_stay_uint8(tmp_path, rng, dataset, samples):
         x, y = cli._load_split(args, split)
         assert x.dtype == np.uint8 and x.ndim == 4 and y.dtype == np.int64
         assert x.shape[0] == (int(samples) or y.shape[0])
+
+
+@pytest.mark.parametrize("dataset,sizes", [("idx", (6, 6)), ("cifar10", (20, 10))],
+                         ids=["idx", "cifar10"])
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_file_split_smaller_than_the_request_is_clean_error(tmp_path, capsys, rng, dataset,
+                                                            sizes, split):
+    """One more sample than a split holds is refused, not read as the
+    whole split."""
+    data = tmp_path / "data"
+    write_file_dataset(data, dataset, rng)
+    have = sizes[split == "test"]
+    counts = {"train": "0", "test": "0", split: str(have + 1)}
+    code = main(["train", "--dataset", dataset, "--data-dir", str(data), "--samples",
+                 counts["train"], "--test-samples", counts["test"], *FAST_TRAIN, "--quiet",
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"requested {have + 1} samples but only {have} available" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cifar10_train_equals_fit_on_normalized_images(tmp_path, rng):
@@ -284,8 +330,8 @@ def test_train_model_config_overrides(tmp_path):
     "[1, 2]",                  # a JSON value that is not an object
     '{"stem_widths": 5}',      # a field of the wrong type
     None,                      # a path that cannot be read
-    '{"capsule_dim": 4.5}',    # integer fields take no fractions,
-    '{"primary_caps_dim": 8.0}',  # nor integral floats
+    '{"num_classes": 4.5}',    # integer fields take no fractions,
+    '{"num_classes": 3.0}',    # nor integral floats
     '{"stem_widths": [8, 16, 16.5, 32]}',
     '{"stage_depths": [1, 1.5, 1]}',
     '{"use_se": "false"}',     # a truthy string once trained with SE

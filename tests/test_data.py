@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from capsnet import data
-from capsnet.data import (load_cifar10_batch, load_cifar10_split, load_idx, load_idx_pair,
-                          find_idx_split, make_blobs, normalize_images, take_subset)
+from capsnet.data import (load_cifar10_split, load_idx, load_idx_pair, find_idx_split,
+                          make_blobs, normalize_images, take_subset)
 from capsnet.errors import ConfigError, DataFormatError
 
 
@@ -121,57 +121,62 @@ def write_cifar_batch(path, images, labels):
     path.write_bytes(b"".join(recs))
 
 
+# Each split and the batch files it reads, in order.
+CIFAR10_SPLITS = {"train": [f"data_batch_{i}" for i in range(1, 6)], "test": ["test_batch"]}
+
+
+def write_cifar_split(directory, rng, split, n=2):
+    """``n`` random records in each batch file of ``split``."""
+    for name in CIFAR10_SPLITS[split]:
+        write_cifar_batch(directory / name, rng.integers(0, 256, (n, 32, 32, 3), dtype=np.uint8),
+                          rng.integers(0, 10, n))
+
+
 class TestCifar10:
     def test_round_trip(self, tmp_path, rng):
         images = rng.integers(0, 256, (4, 32, 32, 3), dtype=np.uint8)
         labels = rng.integers(0, 10, 4).astype(np.int64)
-        p = tmp_path / "data_batch_1"
-        write_cifar_batch(p, images, labels)
-        x, y = load_cifar10_batch(p)
+        write_cifar_batch(tmp_path / "test_batch", images, labels)
+        x, y = load_cifar10_split(tmp_path, "test")
         assert np.array_equal(x, images)
         assert np.array_equal(y, labels)
 
-    def test_bad_record_size(self, tmp_path):
-        p = tmp_path / "batch"
-        p.write_bytes(b"\x00" * 3072)  # one byte short of a record
-        with pytest.raises(DataFormatError, match="3073"):
-            load_cifar10_batch(p)
+    # The bad-file tests loop over both splits rather than parametrizing,
+    # so their test ids stay those of the one-split tests they extend.
+    def test_bad_record_size(self, tmp_path, rng):
+        for split, names in CIFAR10_SPLITS.items():
+            write_cifar_split(tmp_path, rng, split)
+            (tmp_path / names[0]).write_bytes(b"\x00" * 3072)  # one byte short of a record
+            with pytest.raises(DataFormatError, match=f"{names[0]}: size 3072 .* 3073"):
+                load_cifar10_split(tmp_path, split)
 
-    def test_label_out_of_range(self, tmp_path):
-        p = tmp_path / "batch"
-        p.write_bytes(bytes([11]) + b"\x00" * 3072)
-        with pytest.raises(DataFormatError, match="label"):
-            load_cifar10_batch(p)
+    def test_label_out_of_range(self, tmp_path, rng):
+        for split, names in CIFAR10_SPLITS.items():
+            write_cifar_split(tmp_path, rng, split)
+            (tmp_path / names[0]).write_bytes(bytes([11]) + b"\x00" * 3072)
+            with pytest.raises(DataFormatError, match=f"{names[0]}: label 11"):
+                load_cifar10_split(tmp_path, split)
 
     def test_directory_layout(self, tmp_path, rng):
-        for i in range(1, 6):
-            write_cifar_batch(tmp_path / f"data_batch_{i}",
-                              rng.integers(0, 256, (2, 32, 32, 3), dtype=np.uint8),
-                              rng.integers(0, 10, 2))
-        write_cifar_batch(tmp_path / "test_batch",
-                          rng.integers(0, 256, (3, 32, 32, 3), dtype=np.uint8),
-                          rng.integers(0, 10, 3))
+        write_cifar_split(tmp_path, rng, "train", n=2)
+        write_cifar_split(tmp_path, rng, "test", n=3)
         assert load_cifar10_split(tmp_path, "train")[0].shape == (10, 32, 32, 3)
         assert load_cifar10_split(tmp_path, "test")[0].shape == (3, 32, 32, 3)
 
     def test_split_is_the_batches_concatenated(self, tmp_path, rng):
         # batches of unequal sizes, so each fills its own offset of the result
-        paths = [tmp_path / f"data_batch_{i}" for i in range(1, 6)]
-        for n, path in zip((3, 1, 4, 2, 5), paths):
-            write_cifar_batch(path, rng.integers(0, 256, (n, 32, 32, 3), dtype=np.uint8),
-                              rng.integers(0, 10, n))
+        images = [rng.integers(0, 256, (n, 32, 32, 3), dtype=np.uint8) for n in (3, 1, 4, 2, 5)]
+        labels = [rng.integers(0, 10, len(x)).astype(np.int64) for x in images]
+        for name, x, y in zip(CIFAR10_SPLITS["train"], images, labels):
+            write_cifar_batch(tmp_path / name, x, y)
         x, y = load_cifar10_split(tmp_path, "train")
-        parts = [load_cifar10_batch(path) for path in paths]
-        want_x, want_y = np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+        want_x, want_y = np.concatenate(images), np.concatenate(labels)
         assert x.dtype == want_x.dtype and x.shape == want_x.shape == (15, 32, 32, 3)
         assert x.tobytes() == want_x.tobytes()
         assert y.dtype == want_y.dtype and y.tobytes() == want_y.tobytes()
 
     def test_split_checks_every_batch_as_a_batch_load_does(self, tmp_path, rng):
-        for i in range(1, 6):
-            write_cifar_batch(tmp_path / f"data_batch_{i}",
-                              rng.integers(0, 256, (2, 32, 32, 3), dtype=np.uint8),
-                              rng.integers(0, 10, 2))
+        write_cifar_split(tmp_path, rng, "train")
         bad = tmp_path / "data_batch_4"
         for raw, mention in [(bytes([11]) + b"\x00" * 3072, "data_batch_4: label 11 outside"),
                              (b"\x00" * 3072, "data_batch_4: size 3072 is not a multiple")]:
@@ -181,26 +186,27 @@ class TestCifar10:
 
     def test_split_refuses_a_batch_that_changes_between_its_reads(self, tmp_path, rng,
                                                                   monkeypatch):
-        for i in range(1, 6):
-            write_cifar_batch(tmp_path / f"data_batch_{i}",
-                              rng.integers(0, 256, (2, 32, 32, 3), dtype=np.uint8),
-                              rng.integers(0, 10, 2))
-        reads = []
         read_bytes = data._read_bytes
+        for split, names in CIFAR10_SPLITS.items():
+            write_cifar_split(tmp_path, rng, split)
+            shrinks = tmp_path / names[len(names) // 2]  # data_batch_3 or test_batch
+            reads = []
 
-        def read_then_shrink(path):
-            reads.append(path)
-            raw = read_bytes(path)
-            if len(reads) == 5:  # the check pass is over: batch 3 loses a record
-                (tmp_path / "data_batch_3").write_bytes(read_bytes(tmp_path / "data_batch_3")[:3073])
-            return raw
-        monkeypatch.setattr(data, "_read_bytes", read_then_shrink)
-        with pytest.raises(DataFormatError, match="data_batch_3: changed while it was loaded"):
-            load_cifar10_split(tmp_path, "train")
+            def read_then_shrink(path):
+                reads.append(path)
+                raw = read_bytes(path)
+                if len(reads) == len(names):  # the check pass is over: one batch loses a record
+                    shrinks.write_bytes(read_bytes(shrinks)[:3073])
+                return raw
+            monkeypatch.setattr(data, "_read_bytes", read_then_shrink)
+            with pytest.raises(DataFormatError, match=f"{shrinks.name}: changed while it was"):
+                load_cifar10_split(tmp_path, split)
+            monkeypatch.undo()
 
     def test_missing_batch(self, tmp_path):
-        with pytest.raises(DataFormatError, match="data_batch_1"):
-            load_cifar10_split(tmp_path, "train")
+        for split, names in CIFAR10_SPLITS.items():
+            with pytest.raises(DataFormatError, match=names[0]):
+                load_cifar10_split(tmp_path, split)
 
 
 class TestNormalize:

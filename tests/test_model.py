@@ -10,6 +10,7 @@ from capsnet import (LADDER, CapsuleClassifier, GradientTape, ModelConfig, Tenso
                      cross_entropy_loss, ladder_config, normalize_images, one_hot)
 from capsnet.errors import ConfigError, ShapeError
 from capsnet.gradcheck import toy_model_config
+from capsnet.model import CAPSULE_DIM
 
 TOY = dict(input_shape=(16, 16, 1), num_classes=4,
            stem_widths=(4, 8, 8, 16), stage_depths=(1, 1, 1))
@@ -101,7 +102,6 @@ class TestConfig:
         dict(block_variant="narrow"),
         dict(routing="em"),
         dict(dtype="float16"),
-        dict(primary_caps_dim=0),
         dict(input_shape=(0, 16, 1)),
         dict(stage_depths=(1, 0, 1)),
     ])
@@ -119,15 +119,16 @@ class TestModel:
 
     def test_too_small_input_rejected(self):
         with pytest.raises(ConfigError):
-            toy_model(input_shape=(2, 2, 1), primary_caps_dim=32)
+            # 16 primary channels on a 1x1 grid: one capsule
+            toy_model(input_shape=(2, 2, 1), stem_widths=(4, 8))
 
     def test_forward_output_shapes(self, rng):
-        model, cfg = toy_model()
+        model, _ = toy_model()
         params, stats = model.init_params(0)
         x = rng.standard_normal((3, 16, 16, 1)).astype(np.float32)
         out = model.forward(params, stats, x, training=True)
         assert out.probs.shape == (3, 4)
-        assert out.poses.shape == (3, 4, cfg.capsule_dim)
+        assert out.poses.shape == (3, 4, CAPSULE_DIM)
         assert out.agreements.shape == (3, 4)
         assert out.gates is not None and out.gates.shape == (3, 4)
         assert np.allclose(out.probs.data.sum(-1), 1.0, atol=1e-6)
@@ -149,19 +150,19 @@ class TestModel:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_original_routing_probs_finite_past_float32_exp_overflow(self, rng):
-        # 256 one-dim primary capsules, all positive, each voting d_j for
-        # class j: every agreement is (n - 1) / 2 = 127.5, past the 88.7
-        # where float32 exp overflows
+        # 256 primary capsules (an 8x8 grid of 4), all about the same
+        # positive vector, each voting d_j for class j: every agreement is
+        # (n - 1) / 2 = 127.5, past the 88.7 where float32 exp overflows
         model, _ = toy_model(routing="original", use_attention=False,
-                             stem_widths=(8, 16, 16, 32), primary_caps_dim=1)
+                             input_shape=(64, 64, 1), stem_widths=(8, 16, 16, 32))
         assert model.num_primary == 256
         params, stats = model.init_params(0)
         params["primary.bn.beta"] = Tensor(np.full(64, 5.0, dtype=np.float32))
         params["primary.bn.gamma"] = Tensor(np.full(64, 1e-3, dtype=np.float32))
-        j, n, _, k = params["caps.w"].shape
-        d = rng.standard_normal((j, 1, 1, k)).astype(np.float32)
-        params["caps.w"] = Tensor(np.broadcast_to(d, (j, n, 1, k)).copy())
-        out = model.forward(params, stats, rng.standard_normal((2, 16, 16, 1)))
+        j, n, k_in, k = params["caps.w"].shape
+        d = rng.standard_normal((j, 1, k_in, k)).astype(np.float32)
+        params["caps.w"] = Tensor(np.broadcast_to(d, (j, n, k_in, k)).copy())
+        out = model.forward(params, stats, rng.standard_normal((2, 64, 64, 1)))
         assert np.allclose(out.agreements.data, 127.5, rtol=1e-4)
         assert np.all(np.isfinite(out.probs.data))
         assert np.allclose(out.probs.data.sum(-1), 1.0, atol=1e-6)
